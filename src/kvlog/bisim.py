@@ -14,8 +14,14 @@ enough to rebuild, for every non-bisimilar pair, a formula true on the
 left and false on the right; distinguishing_formula replays it and
 checks the result by evaluation before returning it.
 
+greatest_bisim (first failure per pair) and check_bisimulation (every
+failure) draw the successor clauses from one generator.
+
 check_fo_bisimulation covers the FO variant, where matching is required
-for successor pairs with distinct values instead of related pairs.
+for successor pairs with distinct values instead of related pairs.  Those
+pairs are exactly the related pairs of the ternary model derive_ternary
+induces, so it is check_bisimulation on the two derived models, with
+KvbZig/KvbZag reported as KvrZig/KvrZag.
 """
 
 from __future__ import annotations
@@ -23,14 +29,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .models import FOKripkeModel, TernaryModel
+from .models import FOKripkeModel, TernaryModel, derive_ternary
 from .semantics import eval_ternary
-from .syntax import (And, Formula, Neg, Prop, Top, big_and, dia, dia_b)
+from .syntax import Formula, Neg, Prop, big_and, dia, dia_b
 
 
 @dataclass(frozen=True)
 class ClauseFailure:
-    clause: str               # Inv, Zig, Zag, KvbZig, KvbZag
+    clause: str               # Inv, Zig, Zag, KvbZig, KvbZag (KvrZig, KvrZag)
     pair: tuple[str, str]
     detail: tuple
 
@@ -39,29 +45,53 @@ class ClauseFailure:
         return f"{self.clause} fails at ({s1}, {s2}) on {self.detail}"
 
 
-def _succs(model: TernaryModel) -> dict:
-    out = {agent: {} for agent in model.vocab.agents}
+def _index(model: TernaryModel) -> tuple[dict, dict]:
+    """Successor lists per agent and state, and related pairs per
+    (agent, constant) and state, both in state order."""
+    order = {s: i for i, s in enumerate(model.states)}
+    succ = {agent: {} for agent in model.vocab.agents}
     for agent, pairs in model.rel.items():
         for (s, t) in pairs:
-            out[agent].setdefault(s, []).append(t)
-    order = {s: i for i, s in enumerate(model.states)}
-    for agent in out:
-        for s in out[agent]:
-            out[agent][s].sort(key=order.__getitem__)
-    return out
-
-
-def _tern_at(model: TernaryModel) -> dict:
-    out = {}
-    order = {s: i for i, s in enumerate(model.states)}
-    for (agent, constant), triples in model.tern.items():
-        slot = out.setdefault((agent, constant), {})
+            succ[agent].setdefault(s, []).append(t)
+    at = {}
+    for key, triples in model.tern.items():
+        slot = at.setdefault(key, {})
         for (s, t, u) in triples:
             slot.setdefault(s, []).append((t, u))
-    for key in out:
-        for s in out[key]:
-            out[key][s].sort(key=lambda p: (order[p[0]], order[p[1]]))
-    return out
+    for lists in succ.values():
+        for targets in lists.values():
+            targets.sort(key=order.__getitem__)
+    for lists in at.values():
+        for pairs in lists.values():
+            pairs.sort(key=lambda p: (order[p[0]], order[p[1]]))
+    return succ, at
+
+
+def _successor_failures(vocab, index1, index2, s1, s2, z):
+    """Successor-clause failures of the pair (s1, s2) against z, as
+    (clause, detail) in a fixed order: per agent Zig, then Zag, then per
+    constant KvbZig and KvbZag.  index1, index2 come from _index."""
+    (succ1, at1), (succ2, at2) = index1, index2
+    for agent in vocab.agents:
+        out1 = succ1[agent].get(s1, ())
+        out2 = succ2[agent].get(s2, ())
+        for t1 in out1:
+            if not any((t1, t2) in z for t2 in out2):
+                yield "Zig", (agent, t1)
+        for t2 in out2:
+            if not any((t1, t2) in z for t1 in out1):
+                yield "Zag", (agent, t2)
+        for constant in vocab.constants:
+            pairs1 = at1.get((agent, constant), {}).get(s1, ())
+            pairs2 = at2.get((agent, constant), {}).get(s2, ())
+            for (t1, u1) in pairs1:
+                if not any((t1, t2) in z and (u1, u2) in z
+                           for (t2, u2) in pairs2):
+                    yield "KvbZig", (agent, constant, t1, u1)
+            for (t2, u2) in pairs2:
+                if not any((t1, t2) in z and (u1, u2) in z
+                           for (t1, u1) in pairs1):
+                    yield "KvbZag", (agent, constant, t2, u2)
 
 
 def check_bisimulation(m1: TernaryModel, m2: TernaryModel,
@@ -74,10 +104,7 @@ def check_bisimulation(m1: TernaryModel, m2: TernaryModel,
     for (s1, s2) in z:
         if s1 not in m1.states or s2 not in m2.states:
             raise ValueError(f"pair ({s1}, {s2}) uses unknown states")
-    succ1, succ2 = _succs(m1), _succs(m2)
-    at1, at2 = _tern_at(m1), _tern_at(m2)
-    agents = m1.vocab.agents
-    constants = m1.vocab.constants
+    index1, index2 = _index(m1), _index(m2)
     failures = []
     order1 = {s: i for i, s in enumerate(m1.states)}
     order2 = {s: i for i, s in enumerate(m2.states)}
@@ -86,26 +113,9 @@ def check_bisimulation(m1: TernaryModel, m2: TernaryModel,
             failures.append(ClauseFailure("Inv", (s1, s2),
                                           (tuple(sorted(m1.val[s1])),
                                            tuple(sorted(m2.val[s2])))))
-        for agent in agents:
-            for t1 in succ1[agent].get(s1, ()):
-                if not any((t1, t2) in z for t2 in succ2[agent].get(s2, ())):
-                    failures.append(ClauseFailure("Zig", (s1, s2), (agent, t1)))
-            for t2 in succ2[agent].get(s2, ()):
-                if not any((t1, t2) in z for t1 in succ1[agent].get(s1, ())):
-                    failures.append(ClauseFailure("Zag", (s1, s2), (agent, t2)))
-            for constant in constants:
-                pairs1 = at1.get((agent, constant), {}).get(s1, ())
-                pairs2 = at2.get((agent, constant), {}).get(s2, ())
-                for (t1, u1) in pairs1:
-                    if not any((t1, t2) in z and (u1, u2) in z
-                               for (t2, u2) in pairs2):
-                        failures.append(ClauseFailure(
-                            "KvbZig", (s1, s2), (agent, constant, t1, u1)))
-                for (t2, u2) in pairs2:
-                    if not any((t1, t2) in z and (u1, u2) in z
-                               for (t1, u1) in pairs1):
-                        failures.append(ClauseFailure(
-                            "KvbZag", (s1, s2), (agent, constant, t2, u2)))
+        for clause, detail in _successor_failures(m1.vocab, index1, index2,
+                                                  s1, s2, z):
+            failures.append(ClauseFailure(clause, (s1, s2), detail))
     return failures
 
 
@@ -125,10 +135,7 @@ def greatest_bisim(m1: TernaryModel, m2: TernaryModel) -> BisimResult:
     """
     if m1.vocab != m2.vocab:
         raise ValueError("models use different vocabularies")
-    succ1, succ2 = _succs(m1), _succs(m2)
-    at1, at2 = _tern_at(m1), _tern_at(m2)
-    agents = m1.vocab.agents
-    constants = m1.vocab.constants
+    index1, index2 = _index(m1), _index(m2)
     alive = {(s1, s2) for s1 in m1.states for s2 in m2.states
              if m1.val[s1] == m2.val[s2]}
     deleted: dict[tuple[str, str], tuple[int, tuple]] = {}
@@ -136,43 +143,10 @@ def greatest_bisim(m1: TernaryModel, m2: TernaryModel) -> BisimResult:
     while True:
         doomed = {}
         for (s1, s2) in alive:
-            reason = None
-            for agent in agents:
-                for t1 in succ1[agent].get(s1, ()):
-                    if not any((t1, t2) in alive
-                               for t2 in succ2[agent].get(s2, ())):
-                        reason = ("Zig", agent, t1)
-                        break
-                if reason:
-                    break
-                for t2 in succ2[agent].get(s2, ()):
-                    if not any((t1, t2) in alive
-                               for t1 in succ1[agent].get(s1, ())):
-                        reason = ("Zag", agent, t2)
-                        break
-                if reason:
-                    break
-                for constant in constants:
-                    for (t1, u1) in at1.get((agent, constant), {}).get(s1, ()):
-                        if not any((t1, t2) in alive and (u1, u2) in alive
-                                   for (t2, u2) in
-                                   at2.get((agent, constant), {}).get(s2, ())):
-                            reason = ("KvbZig", agent, constant, t1, u1)
-                            break
-                    if reason:
-                        break
-                    for (t2, u2) in at2.get((agent, constant), {}).get(s2, ()):
-                        if not any((t1, t2) in alive and (u1, u2) in alive
-                                   for (t1, u1) in
-                                   at1.get((agent, constant), {}).get(s1, ())):
-                            reason = ("KvbZag", agent, constant, t2, u2)
-                            break
-                    if reason:
-                        break
-                if reason:
-                    break
-            if reason:
-                doomed[(s1, s2)] = reason
+            for clause, detail in _successor_failures(m1.vocab, index1, index2,
+                                                      s1, s2, alive):
+                doomed[(s1, s2)] = (clause,) + detail
+                break
         if not doomed:
             break
         for pair, reason in doomed.items():
@@ -200,8 +174,7 @@ def distinguishing_formula(m1: TernaryModel, s1: str,
     result = greatest_bisim(m1, m2)
     if (s1, s2) in result.pairs:
         return None
-    succ1, succ2 = _succs(m1), _succs(m2)
-    at1, at2 = _tern_at(m1), _tern_at(m2)
+    (succ1, _), (succ2, _) = _index(m1), _index(m2)
     vocab = m1.vocab
     memo: dict[tuple[str, str], Formula] = {}
 
@@ -262,62 +235,14 @@ def _dedup(parts: list[Formula]) -> list[Formula]:
     return seen
 
 
+_FO_CLAUSES = {"KvbZig": "KvrZig", "KvbZag": "KvrZag"}
+
+
 def check_fo_bisimulation(m1: FOKripkeModel, m2: FOKripkeModel,
                           z: set[tuple[str, str]]) -> list[ClauseFailure]:
-    """Bisimulation clauses for FO models: Inv, Zig, Zag, and matching of
-    successor pairs with distinct constant values (KvrZig/KvrZag)."""
-    if not z:
-        return [ClauseFailure("Inv", ("", ""), ("empty relation",))]
-
-    def succs(model):
-        out = {agent: {} for agent in model.vocab.agents}
-        for agent, pairs in model.rel.items():
-            for (s, t) in pairs:
-                out[agent].setdefault(s, []).append(t)
-        order = {s: i for i, s in enumerate(model.states)}
-        for agent in out:
-            for s in out[agent]:
-                out[agent][s].sort(key=order.__getitem__)
-        return out
-
-    succ1, succ2 = succs(m1), succs(m2)
-    agents = m1.vocab.agents
-    constants = m1.vocab.constants
-    failures = []
-    order1 = {s: i for i, s in enumerate(m1.states)}
-    order2 = {s: i for i, s in enumerate(m2.states)}
-
-    def distinct_pairs(model, succ, s, agent, constant):
-        out = []
-        for t in succ[agent].get(s, ()):
-            for u in succ[agent].get(s, ()):
-                if model.vc[(constant, t)] != model.vc[(constant, u)]:
-                    out.append((t, u))
-        return out
-
-    for (s1, s2) in sorted(z, key=lambda p: (order1[p[0]], order2[p[1]])):
-        if m1.val[s1] != m2.val[s2]:
-            failures.append(ClauseFailure("Inv", (s1, s2),
-                                          (tuple(sorted(m1.val[s1])),
-                                           tuple(sorted(m2.val[s2])))))
-        for agent in agents:
-            for t1 in succ1[agent].get(s1, ()):
-                if not any((t1, t2) in z for t2 in succ2[agent].get(s2, ())):
-                    failures.append(ClauseFailure("Zig", (s1, s2), (agent, t1)))
-            for t2 in succ2[agent].get(s2, ()):
-                if not any((t1, t2) in z for t1 in succ1[agent].get(s1, ())):
-                    failures.append(ClauseFailure("Zag", (s1, s2), (agent, t2)))
-            for constant in constants:
-                for (t1, u1) in distinct_pairs(m1, succ1, s1, agent, constant):
-                    if not any((t1, t2) in z and (u1, u2) in z
-                               for (t2, u2) in
-                               distinct_pairs(m2, succ2, s2, agent, constant)):
-                        failures.append(ClauseFailure(
-                            "KvrZig", (s1, s2), (agent, constant, t1, u1)))
-                for (t2, u2) in distinct_pairs(m2, succ2, s2, agent, constant):
-                    if not any((t1, t2) in z and (u1, u2) in z
-                               for (t1, u1) in
-                               distinct_pairs(m1, succ1, s1, agent, constant)):
-                        failures.append(ClauseFailure(
-                            "KvrZag", (s1, s2), (agent, constant, t2, u2)))
-    return failures
+    """Bisimulation clauses for FO models, checked on the derived ternary
+    models: Inv, Zig, Zag, and matching of successor pairs with distinct
+    constant values (KvrZig/KvrZag)."""
+    failures = check_bisimulation(derive_ternary(m1), derive_ternary(m2), z)
+    return [ClauseFailure(_FO_CLAUSES.get(f.clause, f.clause), f.pair, f.detail)
+            for f in failures]

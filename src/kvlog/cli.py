@@ -24,8 +24,9 @@ from .models import (FOKripkeModel, GenParams, TernaryModel, derive_ternary,
                      generate_direct, generate_value_induced, load_model,
                      model_to_json, validate_ternary)
 from .proof import SYSTEMS, check_derivation, parse_script, soundness_fuzz
-from .semantics import (DEFAULT_BUDGET, BudgetExceededError, eval_fo,
-                        eval_ternary, find_countermodel)
+from .semantics import (DEFAULT_BUDGET, BudgetExceededError,
+                        counterexample_state, eval_fo, eval_ternary,
+                        find_countermodel)
 from .syntax import (KvlogError, LanguageError, ParseError, Vocabulary,
                      language_of, parse, parse_infer, print_formula, reduce_r,
                      translate_T, translate_T_inv)
@@ -79,12 +80,10 @@ def cmd_check(args) -> int:
 
 def cmd_valid(args) -> int:
     model = _require_ternary(_load(args.model))
-    f = parse(args.formula, model.vocab)
-    for s in model.states:
-        if not eval_ternary(model, s, f):
-            _emit(args, {"valid": False, "state": s},
-                  [f"fails at {s}"])
-            return 1
+    state = counterexample_state(model, parse(args.formula, model.vocab))
+    if state is not None:
+        _emit(args, {"valid": False, "state": state}, [f"fails at {state}"])
+        return 1
     _emit(args, {"valid": True}, ["valid on the model"])
     return 0
 
@@ -251,6 +250,17 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """argparse type for integers >= low; anything else exits 2."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="kvlog",
@@ -279,9 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("refute", cmd_refute,
             "search small ternary models for a countermodel")
     p.add_argument("formula")
-    p.add_argument("--max-states", type=int, default=3)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--max-states", type=_int_at_least(1), default=3)
+    p.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_BUDGET)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
 
     p = add("translate", cmd_translate,
             "translate between conditional-value and box languages")
@@ -301,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--to", choices=("ternary", "fo"), required=True)
     p.add_argument("--root", help="start state for --to fo")
-    p.add_argument("--depth", type=int, default=2,
+    p.add_argument("--depth", type=_int_at_least(0), default=2,
                    help="unraveling depth for --to fo")
     p.add_argument("--out", help="write the model here instead of stdout")
 
@@ -319,9 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("fuzz", cmd_fuzz,
             "fuzz axiom schemas and rules for soundness on random models")
     p.add_argument("system", help=", ".join(SYSTEMS))
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_int_at_least(1), default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
 
     p = add("gen", cmd_gen, "generate a random model as JSON")
     p.add_argument("--kind", choices=("value", "direct"), default="value")

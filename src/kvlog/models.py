@@ -75,16 +75,6 @@ class TernaryModel:
     tern: Mapping[tuple[str, str], frozenset[tuple[State, State, State]]]
     val: Mapping[State, frozenset[str]]
 
-    def succ(self, agent: str, s: State) -> list[State]:
-        order = {st: i for i, st in enumerate(self.states)}
-        return sorted((t for (x, t) in self.rel[agent] if x == s),
-                      key=order.__getitem__)
-
-    def triples_at(self, agent: str, constant: str, s: State) -> list[tuple[State, State]]:
-        order = {st: i for i, st in enumerate(self.states)}
-        return sorted(((t, u) for (x, t, u) in self.tern[(agent, constant)] if x == s),
-                      key=lambda p: (order[p[0]], order[p[1]]))
-
 
 @dataclass(frozen=True)
 class FOKripkeModel:
@@ -94,11 +84,6 @@ class FOKripkeModel:
     val: Mapping[State, frozenset[str]]
     domain: tuple[Value, ...]
     vc: Mapping[tuple[str, State], Value]
-
-    def succ(self, agent: str, s: State) -> list[State]:
-        order = {st: i for i, st in enumerate(self.states)}
-        return sorted((t for (x, t) in self.rel[agent] if x == s),
-                      key=order.__getitem__)
 
 
 def make_ternary(vocab: Vocabulary, states, rel, tern, val) -> TernaryModel:
@@ -158,7 +143,8 @@ def validate_ternary(model: TernaryModel) -> list[Violation]:
             succ[s].append(t)
         for constant in model.vocab.constants:
             triples = model.tern[(agent, constant)]
-            ordered = sorted(triples, key=lambda tr: tuple(order[x] for x in tr))
+            ordered = sorted(triples, key=lambda tr: (order[tr[0]], order[tr[1]],
+                                                      order[tr[2]]))
             for (s, t, u) in ordered:
                 if (s, u, t) not in triples:
                     out.append(Violation("SYM", agent, constant, (s, t, u)))
@@ -327,34 +313,61 @@ def model_to_json(model: Union[TernaryModel, FOKripkeModel]) -> dict:
     return data
 
 
+def _expect(value, path: str, kind, what: str):
+    if not isinstance(value, kind):
+        raise ValueError(f"model JSON {path} must be {what}, "
+                         f"not {type(value).__name__}")
+    return value
+
+
+def _names(value, path: str, arity: Optional[int] = None) -> tuple[str, ...]:
+    """A JSON list of strings (of the given length) as a tuple."""
+    items = _expect(value, path, list, "a list")
+    if arity is not None and len(items) != arity:
+        raise ValueError(f"model JSON {path} must list {arity} states")
+    for k, item in enumerate(items):
+        _expect(item, f"{path}[{k}]", str, "a string")
+    return tuple(items)
+
+
+def _table(data: dict, key: str) -> dict:
+    return _expect(data.get(key, {}), key, dict, "an object")
+
+
 def json_to_model(data: dict) -> tuple[Union[TernaryModel, FOKripkeModel], list[str]]:
     """Decode a model; returns (model, notes).
 
     Triple lists may omit SYM mirrors; they are closed here and each
-    closure is reported in the notes.
+    closure is reported in the notes.  A value of the wrong JSON shape
+    raises ValueError naming its path.
     """
+    _expect(data, "top level", dict, "an object")
     try:
-        vocab = Vocabulary(agents=tuple(data["vocab"]["agents"]),
-                           props=tuple(data["vocab"]["props"]),
-                           constants=tuple(data["vocab"]["constants"]))
+        vocab_data = _expect(data["vocab"], "vocab", dict, "an object")
+        vocab = Vocabulary(*(_names(vocab_data[key], f"vocab.{key}")
+                             for key in ("agents", "props", "constants")))
         kind = data["kind"]
-        states = tuple(data["states"])
-        rel = {agent: set(tuple(e) for e in pairs)
-               for agent, pairs in data.get("rel", {}).items()}
-        val = {s: set(props) for s, props in data.get("val", {}).items()}
+        states = _names(data["states"], "states")
+        domain = data["domain"] if kind == "fo" else []
     except KeyError as exc:
         raise ValueError(f"model JSON misses key {exc}") from None
+    rel = {agent: {_names(e, f"rel.{agent}[{k}]", 2) for k, e in
+                   enumerate(_expect(pairs, f"rel.{agent}", list, "a list"))}
+           for agent, pairs in _table(data, "rel").items()}
+    val = {s: set(_names(props, f"val.{s}"))
+           for s, props in _table(data, "val").items()}
     for agent in rel:
         if agent not in vocab.agents:
             raise ValueError(f"rel mentions unknown agent {agent!r}")
     notes: list[str] = []
     if kind == "ternary":
         tern = {}
-        for key, triples in data.get("tern", {}).items():
+        for key, triples in _table(data, "tern").items():
             agent, _, constant = key.partition(",")
             if vocab.kind_of(agent) != "agent" or vocab.kind_of(constant) != "constant":
                 raise ValueError(f"tern key {key!r} is not agent,constant")
-            given = set(tuple(t) for t in triples)
+            given = {_names(t, f"tern.{key}[{k}]", 3) for k, t in
+                     enumerate(_expect(triples, f"tern.{key}", list, "a list"))}
             added = {(s, u, t) for (s, t, u) in given} - given
             if added:
                 notes.append(f"closed {key} under SYM ({len(added)} triples added)")
@@ -362,9 +375,10 @@ def json_to_model(data: dict) -> tuple[Union[TernaryModel, FOKripkeModel], list[
             tern[(agent, constant)] = given
         return make_ternary(vocab, states, rel, tern, val), notes
     if kind == "fo":
-        domain = tuple(data["domain"])
+        for k, value in enumerate(_expect(domain, "domain", list, "a list")):
+            _expect(value, f"domain[{k}]", (str, int, float, bool), "a scalar")
         vc = {}
-        for key, value in data.get("vc", {}).items():
+        for key, value in _table(data, "vc").items():
             constant, _, s = key.partition(",")
             vc[(constant, s)] = value
         return make_fo(vocab, states, rel, val, domain, vc), notes

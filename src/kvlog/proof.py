@@ -30,7 +30,7 @@ from typing import Mapping, Optional
 
 from .models import GenParams, TernaryModel, generate_direct, \
     generate_value_induced
-from .semantics import eval_ternary
+from .semantics import counterexample_state
 from .syntax import (And, BBoxB, BBoxU, Box, Formula, Neg, Path, Prop, Top,
                      Vocabulary, f_or, iff, imp, occurrences, parse,
                      print_formula, random_formula, replace_at, str_to_path,
@@ -525,13 +525,6 @@ def _fuzz_model(rng, trial: int) -> tuple[TernaryModel, GenParams]:
     return ternary, params
 
 
-def _counterexample_state(model, f) -> Optional[str]:
-    for s in model.states:
-        if not eval_ternary(model, s, f):
-            return s
-    return None
-
-
 def soundness_fuzz(system: ProofSystem, trials: int, seed: int,
                    extra_schemas: Optional[Mapping[str, Formula]] = None,
                    start: int = 0) -> FuzzReport:
@@ -562,7 +555,7 @@ def soundness_fuzz(system: ProofSystem, trials: int, seed: int,
 
         def check_valid(kind, formula) -> bool:
             report.checks += 1
-            state = _counterexample_state(model, formula)
+            state = counterexample_state(model, formula)
             if state is not None:
                 note(trial, params, kind, formula, state)
                 return False
@@ -597,7 +590,7 @@ def soundness_fuzz(system: ProofSystem, trials: int, seed: int,
         for _ in range(6):
             f = rand()
             report.checks += 1
-            if _counterexample_state(model, f) is None:
+            if counterexample_state(model, f) is None:
                 known.append(f)
         if not known:
             continue
@@ -610,7 +603,7 @@ def soundness_fuzz(system: ProofSystem, trials: int, seed: int,
         psi = rand()
         conditional = imp(phi, psi)
         report.checks += 1
-        if _counterexample_state(model, conditional) is None:
+        if counterexample_state(model, conditional) is None:
             check_valid("MP", psi)
 
         # NECK and the NEC rule of the system
@@ -632,7 +625,7 @@ def soundness_fuzz(system: ProofSystem, trials: int, seed: int,
         y = pick((Neg(Neg(x)), And(x, Top()), And(x, x), f_or(x, x)))
         premise = iff(x, y)
         report.checks += 1
-        if _counterexample_state(model, premise) is None:
+        if counterexample_state(model, premise) is None:
             host = rand()
             spots = occurrences(host, x)
             conclusion = iff(host, replace_at(host, spots, x, y))

@@ -1,7 +1,10 @@
 """Evaluation and countermodel search.
 
 eval_fo interprets ELKvR over FO models: Kv[i](f, c) holds at s when all
-i-successors of s that satisfy f agree on the value of c.
+i-successors of s that satisfy f agree on the value of c.  It has no
+evaluator of its own: that is [i]^c ~f on the ternary model derive_ternary
+induces (successor pairs with distinct c-values), so eval_fo evaluates
+translate_T(f) there.
 
 eval_ternary interprets box formulas over ternary models:
 
@@ -20,12 +23,12 @@ from __future__ import annotations
 
 import itertools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import Optional
 
-from .models import FOKripkeModel, TernaryModel
+from .models import FOKripkeModel, TernaryModel, derive_ternary
 from .syntax import (And, BBoxB, BBoxU, Box, Formula, KvCond, LanguageError,
-                     Neg, Prop, Top, Vocabulary, symbols_of, walk)
+                     Neg, Prop, Top, Vocabulary, symbols_of, translate_T,
+                     walk)
 
 DEFAULT_BUDGET = 20_000_000
 
@@ -38,60 +41,15 @@ class BudgetExceededError(Exception):
         super().__init__(f"bound exceeded after {evaluated} models")
 
 
-def _check_symbols(model, f: Formula) -> None:
-    vocab = model.vocab
-    for node in walk(f):
-        if isinstance(node, Prop) and vocab.kind_of(node.name) != "prop":
-            raise ValueError(f"unknown prop {node.name!r}")
-        if isinstance(node, (Box, KvCond, BBoxU, BBoxB)):
-            if vocab.kind_of(node.agent) != "agent":
-                raise ValueError(f"unknown agent {node.agent!r}")
-        if isinstance(node, (KvCond, BBoxU, BBoxB)):
-            if vocab.kind_of(node.constant) != "constant":
-                raise ValueError(f"unknown constant {node.constant!r}")
-
-
 def eval_fo(model: FOKripkeModel, state: str, f: Formula) -> bool:
+    """Evaluate an ELKvR formula on the derived ternary model: Kv[i](g, c)
+    is [i]^c ~g over the successor pairs that disagree on c."""
     if state not in model.states:
         raise ValueError(f"unknown state {state!r}")
     for node in walk(f):
         if isinstance(node, (BBoxU, BBoxB)):
             raise LanguageError(f"not an ELKvR formula: {f}")
-    _check_symbols(model, f)
-    succ = {agent: {} for agent in model.vocab.agents}
-    for agent, pairs in model.rel.items():
-        for (s, t) in pairs:
-            succ[agent].setdefault(s, []).append(t)
-    cache: dict[tuple[int, str], bool] = {}
-    keep = []          # hold node refs so ids stay unique while cached
-
-    def ev(node: Formula, s: str) -> bool:
-        key = (id(node), s)
-        got = cache.get(key)
-        if got is not None:
-            return got
-        keep.append(node)
-        if isinstance(node, Top):
-            out = True
-        elif isinstance(node, Prop):
-            out = node.name in model.val[s]
-        elif isinstance(node, Neg):
-            out = not ev(node.sub, s)
-        elif isinstance(node, And):
-            out = ev(node.left, s) and ev(node.right, s)
-        elif isinstance(node, Box):
-            out = all(ev(node.sub, t) for t in succ[node.agent].get(s, ()))
-        elif isinstance(node, KvCond):
-            sats = [t for t in succ[node.agent].get(s, ())
-                    if ev(node.sub, t)]
-            values = {model.vc[(node.constant, t)] for t in sats}
-            out = len(values) <= 1
-        else:
-            raise TypeError(f"not a formula: {node!r}")
-        cache[key] = out
-        return out
-
-    return ev(f, state)
+    return eval_ternary(derive_ternary(model), state, translate_T(f))
 
 
 def eval_ternary(model: TernaryModel, state: str, f: Formula) -> bool:
@@ -101,7 +59,16 @@ def eval_ternary(model: TernaryModel, state: str, f: Formula) -> bool:
     for node in walk(f):
         if isinstance(node, KvCond):
             raise LanguageError(f"conditional Kv formula needs an FO model: {f}")
-    _check_symbols(model, f)
+    vocab = model.vocab
+    for node in walk(f):
+        if isinstance(node, Prop) and vocab.kind_of(node.name) != "prop":
+            raise ValueError(f"unknown prop {node.name!r}")
+        if isinstance(node, (Box, BBoxU, BBoxB)):
+            if vocab.kind_of(node.agent) != "agent":
+                raise ValueError(f"unknown agent {node.agent!r}")
+        if isinstance(node, (BBoxU, BBoxB)):
+            if vocab.kind_of(node.constant) != "constant":
+                raise ValueError(f"unknown constant {node.constant!r}")
     succ: dict[str, dict] = {agent: {} for agent in model.vocab.agents}
     for agent, pairs in model.rel.items():
         for (s, t) in pairs:
@@ -144,8 +111,16 @@ def eval_ternary(model: TernaryModel, state: str, f: Formula) -> bool:
     return ev(f, state)
 
 
+def counterexample_state(model: TernaryModel, f: Formula) -> Optional[str]:
+    """First state, in model order, at which f fails; None if f is valid."""
+    for s in model.states:
+        if not eval_ternary(model, s, f):
+            return s
+    return None
+
+
 def valid_on(model: TernaryModel, f: Formula) -> bool:
-    return all(eval_ternary(model, s, f) for s in model.states)
+    return counterexample_state(model, f) is None
 
 
 # --- countermodel search ----------------------------------------------------
@@ -216,8 +191,9 @@ def _scan_sizes(f: Formula, vocab: Vocabulary):
     return agents, props, consts
 
 
-def _materialize(vocab, n, prop_masks, props, edges, agents, consts,
-                 choice) -> TernaryModel:
+def _hit_to_model(f, vocab, n, hit) -> tuple[TernaryModel, str]:
+    _, prop_masks, edges, choice, state = hit
+    agents, props, consts = _scan_sizes(f, vocab)
     states = tuple(f"s{i}" for i in range(n))
     rel = {agent: set() for agent in vocab.agents}
     for ai, agent in enumerate(agents):
@@ -236,17 +212,18 @@ def _materialize(vocab, n, prop_masks, props, edges, agents, consts,
     for si, s in enumerate(states):
         full_val[s] = frozenset(p for pi, p in enumerate(props)
                                 if prop_masks[pi] >> si & 1)
-    return TernaryModel(vocab=vocab, states=states,
-                        rel={a: frozenset(v) for a, v in rel.items()},
-                        tern={k: frozenset(v) for k, v in tern.items()},
-                        val=full_val)
+    model = TernaryModel(vocab=vocab, states=states,
+                         rel={a: frozenset(v) for a, v in rel.items()},
+                         tern={k: frozenset(v) for k, v in tern.items()},
+                         val=full_val)
+    return model, states[state]
 
 
 def _search_chunk(f, vocab, n, val_lo, val_hi, budget):
     """Scan valuation indices [val_lo, val_hi) for n states.
 
     Returns (models_evaluated_in_chunk, hit) where hit is None or
-    (models_evaluated_before_hit, valuation_index, edge_payload, choice,
+    (models_evaluated_before_hit, prop_masks, edge_succ, choice,
     state_index)."""
     agents, props, consts = _scan_sizes(f, vocab)
     nodes, dyn, _idx = _compile(f)
@@ -357,7 +334,8 @@ def _search_chunk(f, vocab, n, val_lo, val_hi, budget):
                 mask = eval_dynamic(static_vals, edge_succ, choice)
                 if mask != full:
                     state = next(s for s in range(n) if not mask >> s & 1)
-                    return evaluated, (evaluated - 1, vi, ei, choice, state)
+                    return evaluated, (evaluated - 1, prop_masks,
+                                       edge_succ, choice, state)
     return evaluated, None
 
 
@@ -385,50 +363,27 @@ def find_countermodel(f: Formula, max_states: int, vocab: Vocabulary,
     spent = 0
     for n in range(1, max_states + 1):
         val_space = 1 << (len(props) * n)
+        remaining = budget - spent
         if workers <= 1 or val_space < 2 * workers:
-            evaluated, hit = _search_chunk(f, vocab, n, 0, val_space,
-                                           budget - spent)
-            spent += evaluated
-            if hit is not None:
-                return _hit_to_model(f, vocab, n, hit)
-            continue
-        # split the valuation space; merge respecting sequential order
-        bounds = [val_space * k // workers for k in range(workers + 1)]
-        payloads = [(f, vocab, n, bounds[k], bounds[k + 1], budget)
-                    for k in range(workers) if bounds[k] < bounds[k + 1]]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_worker, payloads))
+            results = [_worker((f, vocab, n, 0, val_space, remaining))]
+        else:
+            # split the valuation space; merge respecting sequential order
+            bounds = [val_space * k // workers for k in range(workers + 1)]
+            payloads = [(f, vocab, n, bounds[k], bounds[k + 1], remaining)
+                        for k in range(workers) if bounds[k] < bounds[k + 1]]
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_worker, payloads))
+        # the search stops on the first model past the budget, so a stop
+        # always reports budget + 1 models, whatever the chunking
         for tag, res in results:
             if tag == "budget":
-                raise BudgetExceededError(spent + res)
+                raise BudgetExceededError(budget + 1)
             evaluated, hit = res
             if hit is not None:
-                before = hit[0]
-                if spent + before + 1 > budget:
+                if spent + hit[0] + 1 > budget:
                     raise BudgetExceededError(budget + 1)
                 return _hit_to_model(f, vocab, n, hit)
             spent += evaluated
             if spent > budget:
-                raise BudgetExceededError(spent)
+                raise BudgetExceededError(budget + 1)
     return None
-
-
-def _hit_to_model(f, vocab, n, hit) -> tuple[TernaryModel, str]:
-    _, vi, ei, choice, state = hit
-    agents, props, consts = _scan_sizes(f, vocab)
-    full = (1 << n) - 1
-    p_cnt, a_cnt = len(props), len(agents)
-    prop_masks = []
-    for pi in range(p_cnt):
-        shift = (p_cnt - 1 - pi) * n
-        prop_masks.append((vi >> shift) & full)
-    edges = []
-    for ai in range(a_cnt):
-        row = []
-        for s in range(n):
-            shift = ((a_cnt - 1 - ai) * n + (n - 1 - s)) * n
-            row.append((ei >> shift) & full)
-        edges.append(row)
-    model = _materialize(vocab, n, prop_masks, props, edges, agents, consts,
-                         choice)
-    return model, model.states[state]

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from kvlog.bisim import (check_bisimulation, check_fo_bisimulation,
                          distinguishing_formula, greatest_bisim)
 from kvlog.models import (GenParams, derive_ternary, generate_direct,
@@ -156,6 +158,12 @@ class TestCheckFoBisimulation:
         z = {("s", "x"), ("t", "y"), ("u", "y")}
         failures = check_fo_bisimulation(f1, f2, z)
         assert any(f.clause == "KvrZig" for f in failures)
+
+    def test_vocabularies_must_match(self):
+        fo, _ = generate_value_induced(GenParams(VOC, 2, 0.5, 2, seed=5))
+        other, _ = generate_value_induced(GenParams(VOC1, 2, 0.5, 2, seed=5))
+        with pytest.raises(ValueError, match="different vocabularies"):
+            check_fo_bisimulation(fo, other, {(fo.states[0], other.states[0])})
 
 
 def test_bisimilar_states_agree_and_others_are_distinguished():

@@ -139,6 +139,15 @@ class TestRefute:
         assert rc == 1
         assert err == "error: bound exceeded after 2 models\n"
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_budget_count_is_exact_for_every_worker_count(self, capsys, workers):
+        rc, _, err = run(
+            capsys, "refute", "([a]^c(p, q) -> [a]^c(q, p))", "--budget", "5000",
+            "--workers", workers,
+        )
+        assert rc == 1
+        assert err == "error: bound exceeded after 5001 models\n"
+
 
 class TestTranslateAndReduce:
     def test_round_trip_between_the_languages(self, capsys):
@@ -187,6 +196,22 @@ class TestValidateAndConvert:
         lines = out.splitlines()
         assert lines[0].endswith("violations:") or "INCL" in out
         assert any("INCL" in line for line in lines)
+
+    @pytest.mark.parametrize("change, path", [
+        (lambda raw: 5, "top level"),
+        (lambda raw: [1, 2], "top level"),
+        (lambda raw: {**raw, "states": 5}, "states"),
+        (lambda raw: {**raw, "rel": {"a": "s"}}, "rel.a"),
+        (lambda raw: {**raw, "rel": {"a": [["s", "t", "u"]]}}, "rel.a[0]"),
+    ])
+    def test_malformed_json_is_a_usage_error_naming_the_path(
+            self, capsys, models_dir, tmp_path, change, path):
+        raw = json.loads((models_dir / "binary_vs_unary_left.json").read_text())
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(change(raw)))
+        rc, out, err = run(capsys, "validate", str(broken))
+        assert rc == 2 and out == ""
+        assert err.startswith(f"error: model JSON {path} must ")
 
     def test_missing_file_is_a_usage_error(self, capsys, tmp_path):
         rc, _, err = run(capsys, "validate", str(tmp_path / "absent.json"))
@@ -381,3 +406,17 @@ class TestArgparseContract:
         with pytest.raises(SystemExit) as exc:
             main(["translate", "--dir", "nope", "p"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["refute", "p", "--max-states", "-1"],
+        ["refute", "p", "--budget", "-1"],
+        ["refute", "p", "--workers", "0"],
+        ["fuzz", "SMLKV", "--trials", "-3"],
+        ["convert", "model.json", "--to", "fo", "--depth", "-1"],
+        ["refute", "p", "--budget", "many"],
+    ])
+    def test_out_of_range_numbers_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"error: argument {argv[-2]}: " in capsys.readouterr().err

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kvlog.models import (GenParams, derive_ternary, dump_model,
                           generate_direct, generate_value_induced,
@@ -173,6 +175,46 @@ class TestSerialization:
         dump_model(m, str(path))
         back, _ = load_model(str(path))
         assert back == m
+
+
+def json_paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from json_paths(child, path + (key,))
+
+
+def replaced(node, path, value):
+    if not path:
+        return value
+    copy = dict(node) if isinstance(node, dict) else list(node)
+    copy[path[0]] = replaced(node[path[0]], path[1:], value)
+    return copy
+
+
+SMALL_MODELS = [model_to_json(generate_direct(GenParams(VOC, 2, 0.8, 2, seed=3))),
+                model_to_json(generate_value_induced(
+                    GenParams(VOC, 2, 0.8, 2, seed=3))[0])]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from(["s0", "a", "p"]),
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.sampled_from(["s0", "a", "a,c"]), kids,
+                                    max_size=2)),
+    max_leaves=6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), value=JSON_VALUES)
+def test_any_json_value_anywhere_decodes_or_is_a_value_error(data, value):
+    raw = data.draw(st.sampled_from(SMALL_MODELS))
+    path = data.draw(st.sampled_from(list(json_paths(raw))))
+    try:
+        json_to_model(replaced(raw, path, value))
+    except ValueError:
+        pass
 
 
 class TestGenParams:

@@ -53,6 +53,11 @@ class TestEvalFo:
         with pytest.raises(LanguageError):
             eval_fo(two_successor_fo(), "s", parse("[a]^c p", VOC))
 
+    def test_language_error_names_the_whole_formula(self):
+        with pytest.raises(LanguageError) as exc:
+            eval_fo(two_successor_fo(), "s", parse("(p & [a]^c q)", VOC))
+        assert str(exc.value) == "not an ELKvR formula: (p & [a]^c q)"
+
     def test_unknown_state(self):
         with pytest.raises(ValueError):
             eval_fo(two_successor_fo(), "zz", parse("p", VOC))
