@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .bisim import distinguishing_formula
 from .models import (FOKripkeModel, GenParams, TernaryModel, derive_ternary,
@@ -210,6 +209,7 @@ def cmd_fuzz(args) -> int:
         share = -(-args.trials // args.workers)
         chunks = [(args.system, min(share, args.trials - lo), args.seed, lo)
                   for lo in range(0, args.trials, share)]
+        from concurrent.futures import ProcessPoolExecutor  # see find_countermodel
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             parts = list(pool.map(_fuzz_chunk, chunks))
         report = parts[0]

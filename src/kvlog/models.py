@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .syntax import Vocabulary
 
@@ -32,8 +32,7 @@ Value = Union[str, int, float, bool]
 State = str
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     cond: str                 # SYM, INCL or ATEUC
     agent: str
     constant: str
@@ -57,6 +56,10 @@ def _freeze_rel(vocab, states, rel) -> dict:
 
 
 def _freeze_val(vocab, states, val) -> dict:
+    known = set(states)
+    for s in val:
+        if s not in known:
+            raise ValueError(f"valuation names unknown state {s!r}")
     out = {}
     for s in states:
         props = val.get(s, ())
@@ -113,6 +116,10 @@ def make_fo(vocab: Vocabulary, states, rel, val, domain, vc) -> FOKripkeModel:
     domain = tuple(domain)
     if len(set(domain)) != len(domain):
         raise ValueError("duplicate domain values")
+    known = set(states)
+    for (constant, s) in vc:
+        if constant not in vocab.constants or s not in known:
+            raise ValueError(f"vc names ({constant}, {s}), not a constant and a state")
     frozen_vc = {}
     for constant in vocab.constants:
         for s in states:

@@ -33,8 +33,8 @@ from .models import GenParams, TernaryModel, generate_direct, \
 from .semantics import counterexample_state
 from .syntax import (And, BBoxB, BBoxU, Box, Formula, Neg, Path, Prop, Top,
                      Vocabulary, f_or, iff, imp, occurrences, parse,
-                     print_formula, random_formula, replace_at, str_to_path,
-                     substitute, walk)
+                     print_formula, random_formula, replace_at, split_iff,
+                     str_to_path, substitute, walk)
 
 TAUT_ATOM_LIMIT = 12
 
@@ -166,19 +166,6 @@ def is_tautology(f: Formula) -> tuple[bool, str]:
         if not ev(tree, bits):
             return False, f"fails under assignment {bits:0{len(atoms)}b}"
     return True, ""
-
-
-def split_iff(f: Formula) -> Optional[tuple[Formula, Formula]]:
-    if (isinstance(f, And)
-            and isinstance(f.left, Neg) and isinstance(f.left.sub, And)
-            and isinstance(f.left.sub.right, Neg)
-            and isinstance(f.right, Neg) and isinstance(f.right.sub, And)
-            and isinstance(f.right.sub.right, Neg)):
-        a = f.left.sub.left
-        b = f.left.sub.right.sub
-        if f.right.sub.left == b and f.right.sub.right.sub == a:
-            return a, b
-    return None
 
 
 # --- derivations ------------------------------------------------------------

@@ -11,24 +11,30 @@ eval_ternary interprets box formulas over ternary models:
   [i]f        every i-successor satisfies f
   [i]^c f     no related pair (t, u) at s has both members violating f
   [i]^c(f, g) no related pair (t, u) at s violates f at t and g at u
-              (pairs are read in both orientations)
+              (each listed pair in its listed orientation; SYM lists both)
+
+All three are normal boxes, so one evaluator covers them: _compile turns
+a formula into a postorder program of its distinct subterms, and _run
+computes each instruction's truth set on the whole model at once, as a
+bitmask over the states.  eval_ternary tests one bit of the root's mask;
+counterexample_state takes its lowest zero bit.
 
 find_countermodel enumerates pointed ternary models in a fixed order
 (state count, valuations, edges, triple sets; SYM and INCL hold by
 construction, ATEUC failures are discarded) and returns the first one
-falsifying the formula.
+falsifying the formula.  It runs the same program: the static
+instructions, which do not depend on the ternary relation, once per edge
+choice, and the dynamic ones once per triple choice.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
-from .models import FOKripkeModel, TernaryModel, derive_ternary
+from .models import FOKripkeModel, TernaryModel, derive_ternary, make_ternary
 from .syntax import (And, BBoxB, BBoxU, Box, Formula, KvCond, LanguageError,
-                     Neg, Prop, Top, Vocabulary, symbols_of, translate_T,
-                     walk)
+                     Neg, Prop, Top, Vocabulary, translate_T, walk)
 
 DEFAULT_BUDGET = 20_000_000
 
@@ -56,71 +62,151 @@ def eval_ternary(model: TernaryModel, state: str, f: Formula) -> bool:
     """Evaluate any KvCond-free formula (the box languages and mixtures)."""
     if state not in model.states:
         raise ValueError(f"unknown state {state!r}")
-    for node in walk(f):
-        if isinstance(node, KvCond):
-            raise LanguageError(f"conditional Kv formula needs an FO model: {f}")
-    vocab = model.vocab
-    for node in walk(f):
-        if isinstance(node, Prop) and vocab.kind_of(node.name) != "prop":
-            raise ValueError(f"unknown prop {node.name!r}")
-        if isinstance(node, (Box, BBoxU, BBoxB)):
-            if vocab.kind_of(node.agent) != "agent":
-                raise ValueError(f"unknown agent {node.agent!r}")
-        if isinstance(node, (BBoxU, BBoxB)):
-            if vocab.kind_of(node.constant) != "constant":
-                raise ValueError(f"unknown constant {node.constant!r}")
-    succ: dict[str, dict] = {agent: {} for agent in model.vocab.agents}
-    for agent, pairs in model.rel.items():
-        for (s, t) in pairs:
-            succ[agent].setdefault(s, []).append(t)
-    at: dict[tuple[str, str], dict] = {}
-    for (agent, constant), triples in model.tern.items():
-        slot = at.setdefault((agent, constant), {})
-        for (s, t, u) in triples:
-            slot.setdefault(s, []).append((t, u))
-    cache: dict[tuple[int, str], bool] = {}
-    keep = []
-
-    def ev(node: Formula, s: str) -> bool:
-        key = (id(node), s)
-        got = cache.get(key)
-        if got is not None:
-            return got
-        keep.append(node)
-        if isinstance(node, Top):
-            out = True
-        elif isinstance(node, Prop):
-            out = node.name in model.val[s]
-        elif isinstance(node, Neg):
-            out = not ev(node.sub, s)
-        elif isinstance(node, And):
-            out = ev(node.left, s) and ev(node.right, s)
-        elif isinstance(node, Box):
-            out = all(ev(node.sub, t) for t in succ[node.agent].get(s, ()))
-        elif isinstance(node, BBoxU):
-            pairs = at[(node.agent, node.constant)].get(s, ())
-            out = all(ev(node.sub, t) or ev(node.sub, u) for (t, u) in pairs)
-        elif isinstance(node, BBoxB):
-            pairs = at[(node.agent, node.constant)].get(s, ())
-            out = all(ev(node.left, t) or ev(node.right, u) for (t, u) in pairs)
-        else:
-            raise TypeError(f"not a formula: {node!r}")
-        cache[key] = out
-        return out
-
-    return ev(f, state)
+    return bool(_truth(model, f) >> model.states.index(state) & 1)
 
 
 def counterexample_state(model: TernaryModel, f: Formula) -> Optional[str]:
     """First state, in model order, at which f fails; None if f is valid."""
-    for s in model.states:
-        if not eval_ternary(model, s, f):
-            return s
-    return None
+    mask = _truth(model, f)
+    if mask == (1 << len(model.states)) - 1:
+        return None
+    return model.states[((mask + 1) & ~mask).bit_length() - 1]
 
 
 def valid_on(model: TernaryModel, f: Formula) -> bool:
     return counterexample_state(model, f) is None
+
+
+# --- the compiled program ---------------------------------------------------
+
+_TOP, _PROP, _NEG, _AND, _BOX, _PAIRS = range(6)
+
+
+def _compile(f: Formula, agents, props, consts):
+    """Postorder program of the distinct subterms of f, and per instruction
+    whether it is static (independent of the ternary relation).
+
+    An instruction is (op, arg, x, y): x and y index the children (both
+    the one child of a unary node), arg is the prop index, the agent index
+    of [i], or the slot agent * len(consts) + constant of a constant-indexed
+    box.  [i]^c g runs as [i]^c(g, g).  Subterms are shared by identity:
+    equality of frozen dataclasses rehashes whole trees.
+    """
+    index: dict[int, int] = {}
+    prog: list[tuple[int, int, int, int]] = []
+    static: list[bool] = []
+    symbol = {"agent": {a: k for k, a in enumerate(agents)},
+              "prop": {p: k for k, p in enumerate(props)},
+              "constant": {c: k for k, c in enumerate(consts)}}
+    unknown: list[ValueError] = []
+
+    def resolve(kind: str, name: str) -> int:
+        k = symbol[kind].get(name)
+        if k is None:
+            unknown.append(ValueError(f"unknown {kind} {name!r}"))
+            return 0
+        return k
+
+    def visit(node: Formula) -> int:
+        k = index.get(id(node))
+        if k is not None:
+            return k
+        if isinstance(node, Top):
+            ins = (_TOP, 0, 0, 0)
+        elif isinstance(node, Prop):
+            ins = (_PROP, resolve("prop", node.name), 0, 0)
+        elif isinstance(node, Neg):
+            x = visit(node.sub)
+            ins = (_NEG, 0, x, x)
+        elif isinstance(node, And):
+            ins = (_AND, 0, visit(node.left), visit(node.right))
+        elif isinstance(node, Box):
+            ai = resolve("agent", node.agent)
+            x = visit(node.sub)
+            ins = (_BOX, ai, x, x)
+        elif isinstance(node, (BBoxU, BBoxB)):
+            slot = (resolve("agent", node.agent) * len(consts)
+                    + resolve("constant", node.constant))
+            if isinstance(node, BBoxU):
+                x = visit(node.sub)
+                ins = (_PAIRS, slot, x, x)
+            else:
+                ins = (_PAIRS, slot, visit(node.left), visit(node.right))
+        elif isinstance(node, KvCond):
+            raise LanguageError(f"conditional Kv formula needs an FO model: {f}")
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+        op, _, x, y = ins
+        static.append(op in (_TOP, _PROP) or op != _PAIRS and static[x] and static[y])
+        index[id(node)] = len(prog)
+        prog.append(ins)
+        return len(prog) - 1
+
+    visit(f)
+    if unknown:
+        raise unknown[0]
+    return prog, static
+
+
+def _run(prog, todo, vals, n, prop_masks, succ, pairs) -> None:
+    """Set vals[i] to the truth set (a bitmask over n states) of every
+    instruction i in todo, in order.
+
+    succ[agent * n + s] is the successor bitmask of s; pairs[slot * n + s]
+    lists the related pairs (t, u) at s, each read in its listed
+    orientation: [i]^c(g, h) needs g at t or h at u.
+    """
+    full = (1 << n) - 1
+    for i in todo:
+        op, arg, x, y = prog[i]
+        if op == _AND:
+            vals[i] = vals[x] & vals[y]
+        elif op == _NEG:
+            vals[i] = full ^ vals[x]
+        elif op == _PROP:
+            vals[i] = prop_masks[arg]
+        elif op == _TOP:
+            vals[i] = full
+        elif op == _BOX:
+            miss = full ^ vals[x]
+            m = 0
+            for s, row in enumerate(succ[arg * n:(arg + 1) * n]):
+                if not row & miss:
+                    m |= 1 << s
+            vals[i] = m
+        else:
+            left, right = vals[x], vals[y]
+            m = 0
+            for s, related in enumerate(pairs[arg * n:(arg + 1) * n]):
+                for (t, u) in related:
+                    if not (left >> t & 1 or right >> u & 1):
+                        break
+                else:
+                    m |= 1 << s
+            vals[i] = m
+
+
+def _truth(model: TernaryModel, f: Formula) -> int:
+    """Truth set of f on the whole model, bit k for model.states[k]."""
+    vocab = model.vocab
+    prog, _ = _compile(f, vocab.agents, vocab.props, vocab.constants)
+    n = len(model.states)
+    at = {s: k for k, s in enumerate(model.states)}
+    prop_masks = [sum(1 << at[s] for s, props in model.val.items() if p in props)
+                  for p in vocab.props]
+    succ = [0] * (len(vocab.agents) * n)
+    pairs: list[list[tuple[int, int]]] = [
+        [] for _ in range(len(vocab.agents) * len(vocab.constants) * n)]
+    for ai, agent in enumerate(vocab.agents):
+        for (s, t) in model.rel.get(agent, ()):
+            succ[ai * n + at[s]] |= 1 << at[t]
+        for ci, constant in enumerate(vocab.constants):
+            base = (ai * len(vocab.constants) + ci) * n
+            for (s, t, u) in model.tern.get((agent, constant), ()):
+                pairs[base + at[s]].append((at[t], at[u]))
+    vals = [0] * len(prog)
+    _run(prog, range(len(prog)), vals, n, prop_masks, succ, pairs)
+    return vals[-1]
 
 
 # --- countermodel search ----------------------------------------------------
@@ -133,7 +219,8 @@ def _pair_tables(n: int) -> dict[int, list[tuple[tuple[int, int], ...]]]:
     lexicographically; subsets follow ascending bit patterns (bit j is
     pair j).  Filtering a product factor preserves product order, so
     iterating only the survivors visits exactly the models the naive
-    enumeration would keep, in the same order.
+    enumeration would keep, in the same order.  Each surviving set is
+    listed with both orientations of its pairs.
     """
     tables: dict[int, list[tuple[tuple[int, int], ...]]] = {}
     for mask in range(1 << n):
@@ -153,189 +240,74 @@ def _pair_tables(n: int) -> dict[int, list[tuple[tuple[int, int], ...]]]:
                 if not ok:
                     break
             if ok:
-                good.append(tuple(sorted(chosen)))
+                good.append(tuple(sorted(chosen | {(u, t) for (t, u) in chosen})))
         tables[mask] = good
     return tables
 
 
-def _compile(f: Formula):
-    """Postorder list of distinct subterms, each tagged static (independent
-    of the ternary relation) or dynamic."""
-    seen: dict[Formula, int] = {}
-    nodes: list[Formula] = []
-    dyn: list[bool] = []
-
-    def visit(node: Formula) -> int:
-        if node in seen:
-            return seen[node]
-        kid_ids = [visit(c) for c in
-                   ((node.sub,) if isinstance(node, (Neg, Box, BBoxU)) else
-                    (node.left, node.right) if isinstance(node, (And, BBoxB)) else ())]
-        idx = len(nodes)
-        nodes.append(node)
-        dyn.append(isinstance(node, (BBoxU, BBoxB)) or
-                   any(dyn[k] for k in kid_ids))
-        seen[node] = idx
-        return idx
-
-    visit(f)
-    return nodes, dyn, seen
-
-
 def _scan_sizes(f: Formula, vocab: Vocabulary):
-    agents, props, consts = symbols_of(f)
-    # keep vocabulary order for determinism
-    agents = tuple(a for a in vocab.agents if a in agents)
-    props = tuple(p for p in vocab.props if p in props)
-    consts = tuple(c for c in vocab.constants if c in consts)
-    return agents, props, consts
+    """The agents, props and constants f uses, in vocabulary order."""
+    used = set()
+    for node in walk(f):
+        used.update(getattr(node, key, None) for key in ("agent", "name", "constant"))
+    return tuple(tuple(x for x in names if x in used)
+                 for names in (vocab.agents, vocab.props, vocab.constants))
 
 
 def _hit_to_model(f, vocab, n, hit) -> tuple[TernaryModel, str]:
-    _, prop_masks, edges, choice, state = hit
+    _, prop_masks, succ, pairs, state = hit
     agents, props, consts = _scan_sizes(f, vocab)
     states = tuple(f"s{i}" for i in range(n))
-    rel = {agent: set() for agent in vocab.agents}
-    for ai, agent in enumerate(agents):
-        for s in range(n):
-            for t in range(n):
-                if edges[ai][s] >> t & 1:
-                    rel[agent].add((states[s], states[t]))
-    tern = {(agent, constant): set() for agent in vocab.agents
-            for constant in vocab.constants}
-    for (ai, ci, s), pairs in choice.items():
-        slot = tern[(agents[ai], consts[ci])]
-        for (t, u) in pairs:
-            slot.add((states[s], states[t], states[u]))
-            slot.add((states[s], states[u], states[t]))
-    full_val = {}
-    for si, s in enumerate(states):
-        full_val[s] = frozenset(p for pi, p in enumerate(props)
-                                if prop_masks[pi] >> si & 1)
-    model = TernaryModel(vocab=vocab, states=states,
-                         rel={a: frozenset(v) for a, v in rel.items()},
-                         tern={k: frozenset(v) for k, v in tern.items()},
-                         val=full_val)
-    return model, states[state]
+    rel: dict[str, set] = {}
+    for k, row in enumerate(succ):
+        ai, s = divmod(k, n)
+        rel.setdefault(agents[ai], set()).update(
+            (states[s], states[t]) for t in range(n) if row >> t & 1)
+    tern: dict[tuple[str, str], set] = {}
+    for k, related in enumerate(pairs):
+        (ai, ci), s = divmod(k // n, len(consts)), k % n
+        tern.setdefault((agents[ai], consts[ci]), set()).update(
+            (states[s], states[t], states[u]) for (t, u) in related)
+    val = {s: {p for pi, p in enumerate(props) if prop_masks[pi] >> si & 1}
+           for si, s in enumerate(states)}
+    return make_ternary(vocab, states, rel, tern, val), states[state]
 
 
 def _search_chunk(f, vocab, n, val_lo, val_hi, budget):
     """Scan valuation indices [val_lo, val_hi) for n states.
 
     Returns (models_evaluated_in_chunk, hit) where hit is None or
-    (models_evaluated_before_hit, prop_masks, edge_succ, choice,
-    state_index)."""
+    (models_evaluated_before_hit, prop_masks, succ, pairs, state_index),
+    succ and pairs laid out as _run reads them.  The static instructions
+    run once per edge choice, the dynamic ones once per triple choice."""
     agents, props, consts = _scan_sizes(f, vocab)
-    nodes, dyn, _idx = _compile(f)
-    top = len(nodes) - 1
+    prog, static = _compile(f, agents, props, consts)
+    fixed = [i for i, st in enumerate(static) if st]
+    moving = [i for i, st in enumerate(static) if not st]
+    vals = [0] * len(prog)
     full = (1 << n) - 1
     tables = _pair_tables(n)
     a_cnt, p_cnt, c_cnt = len(agents), len(props), len(consts)
     evaluated = 0
-
-    # precompute static evaluation plan
-    def masks_for(prop_masks, edge_succ):
-        vals: list[Optional[int]] = [None] * len(nodes)
-        for i, node in enumerate(nodes):
-            if dyn[i]:
-                continue
-            if isinstance(node, Top):
-                vals[i] = full
-            elif isinstance(node, Prop):
-                vals[i] = prop_masks[props.index(node.name)]
-            elif isinstance(node, Neg):
-                vals[i] = ~vals[_idx[node.sub]] & full
-            elif isinstance(node, And):
-                vals[i] = vals[_idx[node.left]] & vals[_idx[node.right]]
-            elif isinstance(node, Box):
-                sub = vals[_idx[node.sub]]
-                ai = agents.index(node.agent)
-                m = 0
-                for s in range(n):
-                    if edge_succ[ai][s] & ~sub & full == 0:
-                        m |= 1 << s
-                vals[i] = m
-        return vals
-
-    def eval_dynamic(vals, edge_succ, choice):
-        out = list(vals)
-        for i, node in enumerate(nodes):
-            if not dyn[i]:
-                continue
-            if isinstance(node, Neg):
-                out[i] = ~out[_idx[node.sub]] & full
-            elif isinstance(node, And):
-                out[i] = out[_idx[node.left]] & out[_idx[node.right]]
-            elif isinstance(node, Box):
-                sub = out[_idx[node.sub]]
-                ai = agents.index(node.agent)
-                m = 0
-                for s in range(n):
-                    if edge_succ[ai][s] & ~sub & full == 0:
-                        m |= 1 << s
-                out[i] = m
-            elif isinstance(node, BBoxU):
-                sub = out[_idx[node.sub]]
-                ai = agents.index(node.agent)
-                ci = consts.index(node.constant)
-                m = 0
-                for s in range(n):
-                    ok = True
-                    for (t, u) in choice.get((ai, ci, s), ()):
-                        if not (sub >> t & 1 or sub >> u & 1):
-                            ok = False
-                            break
-                    if ok:
-                        m |= 1 << s
-                out[i] = m
-            elif isinstance(node, BBoxB):
-                lm = out[_idx[node.left]]
-                rm = out[_idx[node.right]]
-                ai = agents.index(node.agent)
-                ci = consts.index(node.constant)
-                m = 0
-                for s in range(n):
-                    ok = True
-                    for (t, u) in choice.get((ai, ci, s), ()):
-                        if not ((lm >> t & 1 or rm >> u & 1)
-                                and (lm >> u & 1 or rm >> t & 1)):
-                            ok = False
-                            break
-                    if ok:
-                        m |= 1 << s
-                out[i] = m
-        return out[top]
-
     edge_space = 1 << (a_cnt * n * n)
     for vi in range(val_lo, val_hi):
-        prop_masks = []
-        for pi in range(p_cnt):
-            shift = (p_cnt - 1 - pi) * n
-            prop_masks.append((vi >> shift) & full)
+        prop_masks = [(vi >> (p_cnt - 1 - pi) * n) & full for pi in range(p_cnt)]
         for ei in range(edge_space):
-            edge_succ = []
-            for ai in range(a_cnt):
-                row = []
-                for s in range(n):
-                    shift = ((a_cnt - 1 - ai) * n + (n - 1 - s)) * n
-                    row.append((ei >> shift) & full)
-                edge_succ.append(row)
-            static_vals = masks_for(prop_masks, edge_succ)
-            sources = [(ai, ci, s)
-                       for ai in range(a_cnt)
-                       for ci in range(c_cnt)
-                       for s in range(n)]
-            options = [tables[edge_succ[ai][s]] for (ai, ci, s) in sources]
-            for combo in itertools.product(*options):
-                choice = dict(zip(sources, combo))
+            succ = [(ei >> (a_cnt * n - 1 - k) * n) & full
+                    for k in range(a_cnt * n)]
+            _run(prog, fixed, vals, n, prop_masks, succ, None)
+            options = [tables[succ[ai * n + s]] for ai in range(a_cnt)
+                       for _ in range(c_cnt) for s in range(n)]
+            for pairs in itertools.product(*options):
                 evaluated += 1
                 if evaluated > budget:
                     raise BudgetExceededError(evaluated)
-                mask = eval_dynamic(static_vals, edge_succ, choice)
+                _run(prog, moving, vals, n, prop_masks, succ, pairs)
+                mask = vals[-1]
                 if mask != full:
-                    state = next(s for s in range(n) if not mask >> s & 1)
+                    state = ((mask + 1) & ~mask).bit_length() - 1
                     return evaluated, (evaluated - 1, prop_masks,
-                                       edge_succ, choice, state)
+                                       succ, pairs, state)
     return evaluated, None
 
 
@@ -367,7 +339,9 @@ def find_countermodel(f: Formula, max_states: int, vocab: Vocabulary,
         if workers <= 1 or val_space < 2 * workers:
             results = [_worker((f, vocab, n, 0, val_space, remaining))]
         else:
-            # split the valuation space; merge respecting sequential order
+            # split the valuation space; merge respecting sequential order.
+            # Imported here: multiprocessing costs every importer about 2.5 MB.
+            from concurrent.futures import ProcessPoolExecutor
             bounds = [val_space * k // workers for k in range(workers + 1)]
             payloads = [(f, vocab, n, bounds[k], bounds[k + 1], remaining)
                         for k in range(workers) if bounds[k] < bounds[k + 1]]

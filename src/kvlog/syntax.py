@@ -37,6 +37,12 @@ class LanguageError(KvlogError):
 
 _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*")
 
+# Deepest nesting of prefix operators, boxes and parentheses the parser
+# accepts.  Each level is one recursive call of the parser, and of the
+# printer, the translations and the compiler on the result, so the limit
+# keeps them all within Python's stack.
+MAX_NESTING = 100
+
 
 @dataclass(frozen=True)
 class Vocabulary:
@@ -233,21 +239,6 @@ def walk(f: Formula) -> Iterator[Formula]:
         yield from walk(c)
 
 
-def symbols_of(f: Formula) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-    """Agents, props and constants occurring in f, in first-use order."""
-    agents: list[str] = []
-    props: list[str] = []
-    consts: list[str] = []
-    for node in walk(f):
-        if isinstance(node, Prop) and node.name not in props:
-            props.append(node.name)
-        if isinstance(node, (Box, KvCond, BBoxU, BBoxB)) and node.agent not in agents:
-            agents.append(node.agent)
-        if isinstance(node, (KvCond, BBoxU, BBoxB)) and node.constant not in consts:
-            consts.append(node.constant)
-    return tuple(agents), tuple(props), tuple(consts)
-
-
 # --- tokenizer -------------------------------------------------------------
 
 _SINGLE = {
@@ -330,6 +321,7 @@ class _Parser:
         self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.vocab = vocab
         self.infer = None if vocab is not None else _InferredVocab()
 
@@ -385,6 +377,15 @@ class _Parser:
         return out
 
     def unary(self) -> Formula:
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"formula nested deeper than {MAX_NESTING} levels",
+                             self.peek()[2], self.text)
+        self.depth += 1
+        f = self.operand()
+        self.depth -= 1
+        return f
+
+    def operand(self) -> Formula:
         kind, value, at = self.peek()
         if kind == "TILDE":
             self.take("TILDE")
@@ -479,6 +480,20 @@ def parse_infer(text: str) -> tuple[Formula, Vocabulary]:
 
 # --- printing --------------------------------------------------------------
 
+def split_iff(f: Formula) -> Optional[tuple[Formula, Formula]]:
+    """The sides (a, b) of f when f is iff(a, b), else None."""
+    if (isinstance(f, And)
+            and isinstance(f.left, Neg) and isinstance(f.left.sub, And)
+            and isinstance(f.left.sub.right, Neg)
+            and isinstance(f.right, Neg) and isinstance(f.right.sub, And)
+            and isinstance(f.right.sub.right, Neg)):
+        a = f.left.sub.left
+        b = f.left.sub.right.sub
+        if f.right.sub.left == b and f.right.sub.right.sub == a:
+            return a, b
+    return None
+
+
 def print_formula(f: Formula) -> str:
     """Render a formula; parse(print_formula(f), vocab) returns f unchanged.
 
@@ -490,16 +505,10 @@ def print_formula(f: Formula) -> str:
     if isinstance(f, Prop):
         return f.name
     if isinstance(f, And):
-        a, b = f.left, f.right
-        if (isinstance(a, Neg) and isinstance(a.sub, And)
-                and isinstance(a.sub.right, Neg)
-                and isinstance(b, Neg) and isinstance(b.sub, And)
-                and isinstance(b.sub.right, Neg)
-                and a.sub.left == b.sub.right.sub
-                and a.sub.right.sub == b.sub.left):
-            left, right = a.sub.left, a.sub.right.sub
-            return f"({print_formula(left)} <-> {print_formula(right)})"
-        return f"({print_formula(a)} & {print_formula(b)})"
+        sides = split_iff(f)
+        if sides is not None:
+            return f"({print_formula(sides[0])} <-> {print_formula(sides[1])})"
+        return f"({print_formula(f.left)} & {print_formula(f.right)})"
     if isinstance(f, Box):
         return f"[{f.agent}]{print_formula(f.sub)}"
     if isinstance(f, KvCond):

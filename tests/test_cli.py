@@ -42,6 +42,19 @@ class TestParse:
         assert rc == 2 and out == ""
         assert err == "parse error: expected RPAR, found '' (at column 4)\n"
 
+    @pytest.mark.parametrize("text", [
+        "~" * 5000 + "p", "(" * 3000 + "p" + ")" * 3000, "[a]" * 101 + "p"],
+        ids=["5000-negations", "3000-parentheses", "101-boxes"])
+    def test_deep_nesting_is_a_parse_error(self, capsys, text):
+        rc, out, err = run(capsys, "parse", text)
+        assert rc == 2 and out == ""
+        assert err.startswith("parse error: formula nested deeper than 100 levels")
+
+    def test_nesting_up_to_the_limit_parses(self, capsys):
+        rc, out, _ = run(capsys, "parse", "~" * 100 + "p")
+        assert rc == 0
+        assert out.endswith("languages: ELKvR, MLKv, MLKvB, MLKvR\n")
+
 
 class TestCheckAndValid:
     def test_truth_exits_0(self, capsys, models_dir):
@@ -212,6 +225,23 @@ class TestValidateAndConvert:
         rc, out, err = run(capsys, "validate", str(broken))
         assert rc == 2 and out == ""
         assert err.startswith(f"error: model JSON {path} must ")
+
+    @pytest.mark.parametrize("kind, change, message", [
+        ("direct", lambda raw: raw["val"].update(nosuch=["p"]),
+         "valuation names unknown state 'nosuch'"),
+        ("value", lambda raw: raw["vc"].update({"zz,s9": "v0"}),
+         "vc names (zz, s9), not a constant and a state"),
+    ], ids=["val", "vc"])
+    def test_keys_naming_unknown_states_are_usage_errors(
+            self, capsys, tmp_path, kind, change, message):
+        rc, out, _ = run(capsys, "gen", "--kind", kind, "--states", "2",
+                         "--seed", "1", *(["--emit-fo"] if kind == "value" else []))
+        raw = json.loads(out)
+        change(raw)
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(raw))
+        rc, out, err = run(capsys, "check", str(broken), "s0", "p")
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
 
     def test_missing_file_is_a_usage_error(self, capsys, tmp_path):
         rc, _, err = run(capsys, "validate", str(tmp_path / "absent.json"))

@@ -2,13 +2,16 @@ import random
 
 import pytest
 
+from kvlog.bisim import distinguishing_formula
 from kvlog.models import (GenParams, derive_ternary, generate_direct,
                           generate_value_induced, make_fo, make_ternary,
                           validate_ternary)
-from kvlog.semantics import (BudgetExceededError, eval_fo, eval_ternary,
-                             find_countermodel, valid_on)
-from kvlog.syntax import (BBoxB, BBoxU, LanguageError, Prop, Top, Vocabulary,
-                          bot, parse, random_formula, translate_T)
+from kvlog.semantics import (BudgetExceededError, counterexample_state,
+                             eval_fo, eval_ternary, find_countermodel,
+                             valid_on)
+from kvlog.syntax import (And, BBoxB, BBoxU, Box, KvCond, LanguageError, Neg,
+                          Prop, Top, Vocabulary, bot, parse, random_formula,
+                          translate_T)
 
 from oracles import enumerate_small_models, oracle_eval, oracle_eval_fo
 
@@ -95,6 +98,67 @@ class TestEvalTernary:
             f = random_formula(rng, VOC, depth=2, lang="MLKvB")
             for s in m.states:
                 assert eval_ternary(m, s, f) == oracle_eval(m, s, f)
+        # random triples break the frame conditions; x is one shared object
+        broken = set()
+        for k in range(150):
+            states = [f"s{i}" for i in range(1 + k % 4)]
+            m = make_ternary(
+                VOC, states,
+                {"a": {(s, t) for s in states for t in states
+                       if rng.random() < 0.5}},
+                {("a", "c"): {(s, t, u) for s in states for t in states
+                              for u in states if rng.random() < 0.3}},
+                {s: {p for p in VOC.props if rng.random() < 0.5}
+                 for s in states})
+            broken |= {v.cond for v in validate_ternary(m)}
+            x = random_formula(rng, VOC, depth=2, lang="MLKvB")
+            for f in (And(x, x), BBoxB("a", "c", x, Neg(x))):
+                for s in m.states:
+                    assert eval_ternary(m, s, f) == oracle_eval(m, s, f)
+        assert broken == {"SYM", "INCL", "ATEUC"}
+
+    def test_agrees_with_oracle_on_distinguishing_formulas(self, left_model,
+                                                          right_model):
+        pairs = [(left_model, "s", right_model, "x")]
+        for k in range(20):
+            m1, m2 = (generate_direct(GenParams(VOC, 3, 0.6, 2, seed=2 * k + j))
+                      for j in (0, 1))
+            pairs.append((m1, "s0", m2, "s0"))
+        found = 0
+        for m1, s1, m2, s2 in pairs:
+            f = distinguishing_formula(m1, s1, m2, s2)
+            if f is None:
+                continue
+            found += 1
+            for m in (m1, m2):
+                for s in m.states:
+                    assert eval_ternary(m, s, f) == oracle_eval(m, s, f)
+        assert found > 10
+
+    @pytest.mark.parametrize("f, message", [
+        (Prop("r"), "unknown prop 'r'"),
+        (Box("b", Top()), "unknown agent 'b'"),
+        (BBoxU("a", "d", Top()), "unknown constant 'd'"),
+        (BBoxB("b", "d", Top(), Top()), "unknown agent 'b'"),
+        (And(Box("a", Prop("r")), Box("b", Top())), "unknown prop 'r'"),
+        (And(Box("b", Prop("r")), Prop("z")), "unknown agent 'b'"),
+    ], ids=["prop", "agent", "constant", "agent-first", "left-first",
+            "outer-first"])
+    def test_first_unknown_symbol_in_preorder_is_named(self, left_model, f,
+                                                       message):
+        with pytest.raises(ValueError) as exc:
+            eval_ternary(left_model, "s", f)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            counterexample_state(left_model, f)
+        assert str(exc.value) == message
+
+    def test_language_error_wins_over_unknown_symbols(self, left_model):
+        f = And(Prop("r"), KvCond("a", Top(), "c"))
+        with pytest.raises(LanguageError) as exc:
+            eval_ternary(left_model, "s", f)
+        assert str(exc.value) == ("conditional Kv formula needs an FO model: "
+                                  "(r & Kv[a](T, c))")
 
 
 class TestValidOn:
