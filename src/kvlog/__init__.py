@@ -15,8 +15,8 @@ from .models import (FOKripkeModel, GenParams, TernaryModel, Violation,
                      model_to_json, validate_ternary)
 from .proof import (SCHEMAS, SMLKV, SMLKVB, SMLKVR, SYSTEMS, CheckResult,
                     Derivation, FuzzReport, ProofSystem, Step,
-                    axiom_instance, check_derivation, derive_equivalent_neckv,
-                    is_tautology, parse_script, soundness_fuzz)
+                    axiom_instance, check_derivation, is_tautology,
+                    parse_script, soundness_fuzz)
 from .semantics import (DEFAULT_BUDGET, BudgetExceededError, eval_fo,
                         eval_ternary, find_countermodel, valid_on)
 from .syntax import (And, BBoxB, BBoxU, Box, Formula, KvCond, KvlogError,

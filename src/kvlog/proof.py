@@ -32,9 +32,9 @@ from .models import GenParams, TernaryModel, generate_direct, \
     generate_value_induced
 from .semantics import counterexample_state
 from .syntax import (And, BBoxB, BBoxU, Box, Formula, Neg, Path, Prop, Top,
-                     Vocabulary, f_or, iff, imp, occurrences, parse,
-                     print_formula, random_formula, replace_at, split_iff,
-                     str_to_path, substitute, walk)
+                     Vocabulary, children, f_or, fold, iff, imp, occurrences,
+                     parse, print_formula, random_formula, rebuild, replace_at,
+                     split_iff, str_to_path, substitute, subterms)
 
 TAUT_ATOM_LIMIT = 12
 
@@ -58,7 +58,7 @@ SCHEMAS: dict[str, Formula] = {name: parse(text, META_VOCAB)
 def schema_metavars(name: str) -> tuple[str, ...]:
     template = SCHEMAS[name]
     found = []
-    for node in walk(template):
+    for node in subterms(template):
         if isinstance(node, Prop) and node.name not in found:
             found.append(node.name)
     return tuple(sorted(found))
@@ -85,24 +85,15 @@ SYSTEMS = {"SMLKVr": SMLKVR, "SMLKVb": SMLKVB, "SMLKV": SMLKV}
 
 def _rename_slots(f: Formula, agent: str, constant: str) -> Formula:
     """Replace the template slots i and c by concrete symbols."""
-    if isinstance(f, Box):
-        return Box(agent if f.agent == "i" else f.agent,
-                   _rename_slots(f.sub, agent, constant))
-    if isinstance(f, BBoxU):
-        return BBoxU(agent if f.agent == "i" else f.agent,
-                     constant if f.constant == "c" else f.constant,
-                     _rename_slots(f.sub, agent, constant))
-    if isinstance(f, BBoxB):
-        return BBoxB(agent if f.agent == "i" else f.agent,
-                     constant if f.constant == "c" else f.constant,
-                     _rename_slots(f.left, agent, constant),
-                     _rename_slots(f.right, agent, constant))
-    if isinstance(f, Neg):
-        return Neg(_rename_slots(f.sub, agent, constant))
-    if isinstance(f, And):
-        return And(_rename_slots(f.left, agent, constant),
-                   _rename_slots(f.right, agent, constant))
-    return f
+    def step(g: Formula, subs: tuple) -> Formula:
+        if not isinstance(g, (Box, BBoxU, BBoxB)):
+            return rebuild(g, subs)
+        a = agent if g.agent == "i" else g.agent
+        if isinstance(g, Box):
+            return Box(a, *subs)
+        return type(g)(a, constant if g.constant == "c" else g.constant, *subs)
+
+    return fold(f, step)
 
 
 def axiom_instance(system: ProofSystem, schema: str,
@@ -125,46 +116,72 @@ def axiom_instance(system: ProofSystem, schema: str,
 
 # --- tautology checking -----------------------------------------------------
 
-def propositional_skeleton(f: Formula) -> tuple[list[Formula], object]:
-    """Atoms (modal subformulas and props) and an eval tree for f."""
+def _shapes(nodes: list[Formula]) -> dict[int, int]:
+    """For each of the distinct subterms listed children first, a number
+    that is equal exactly for structurally equal subterms.  Each node is
+    keyed by its own symbols and its children's numbers, so no deep
+    formula is ever hashed or compared recursively."""
+    number: dict[int, int] = {}
+    table: dict[tuple, int] = {}
+    for g in nodes:
+        key = (type(g), getattr(g, "name", None), getattr(g, "agent", None),
+               getattr(g, "constant", None),
+               *(number[id(c)] for c in children(g)))
+        number[id(g)] = table.setdefault(key, len(table))
+    return number
+
+
+def propositional_skeleton(f: Formula) -> tuple[list[Formula], list]:
+    """Atoms of f (props and modal subformulas under its boolean
+    connectives), structurally equal ones merged, in order of first
+    occurrence; and the distinct nodes of its boolean skeleton, children
+    first, each paired with its atom index (None for Top, Neg, And)."""
+    nodes = subterms(f)
+    shape = _shapes(nodes)
     atoms: list[Formula] = []
-    index: dict[Formula, int] = {}
-
-    def go(node: Formula):
-        if isinstance(node, Top):
-            return ("const", True)
-        if isinstance(node, Neg):
-            return ("not", go(node.sub))
-        if isinstance(node, And):
-            return ("and", go(node.left), go(node.right))
-        if node not in index:
-            index[node] = len(atoms)
-            atoms.append(node)
-        return ("atom", index[node])
-
-    tree = go(f)
-    return atoms, tree
+    index: dict[int, int] = {}        # shape -> atom index
+    seen: set[int] = set()
+    stack = [f]
+    while stack:                      # preorder over the skeleton
+        g = stack.pop()
+        if id(g) in seen:
+            continue
+        seen.add(id(g))
+        if isinstance(g, (Neg, And)):
+            stack.extend(reversed(children(g)))
+        elif not isinstance(g, Top) and shape[id(g)] not in index:
+            index[shape[id(g)]] = len(atoms)
+            atoms.append(g)
+    return atoms, [(g, None if isinstance(g, (Top, Neg, And))
+                    else index[shape[id(g)]])
+                   for g in nodes if id(g) in seen]
 
 
 def is_tautology(f: Formula) -> tuple[bool, str]:
-    atoms, tree = propositional_skeleton(f)
+    atoms, skeleton = propositional_skeleton(f)
     if len(atoms) > TAUT_ATOM_LIMIT:
         return False, (f"skeleton has {len(atoms)} atoms, "
                        f"limit is {TAUT_ATOM_LIMIT}; decompose the step")
-
-    def ev(node, bits) -> bool:
-        tag = node[0]
-        if tag == "const":
-            return node[1]
-        if tag == "atom":
-            return bool(bits >> node[1] & 1)
-        if tag == "not":
-            return not ev(node[1], bits)
-        return ev(node[1], bits) and ev(node[2], bits)
-
-    for bits in range(1 << len(atoms)):
-        if not ev(tree, bits):
-            return False, f"fails under assignment {bits:0{len(atoms)}b}"
+    # truth sets over all assignments at once: bit k of a mask is the value
+    # under assignment k, which makes atom j true when its bit j is set
+    rows = 1 << len(atoms)
+    full = (1 << rows) - 1
+    column = [sum(1 << k for k in range(rows) if k >> j & 1)
+              for j in range(len(atoms))]
+    truth: dict[int, int] = {}
+    for g, atom in skeleton:
+        if atom is not None:
+            truth[id(g)] = column[atom]
+        elif isinstance(g, Top):
+            truth[id(g)] = full
+        elif isinstance(g, Neg):
+            truth[id(g)] = full ^ truth[id(g.sub)]
+        else:
+            truth[id(g)] = truth[id(g.left)] & truth[id(g.right)]
+    mask = truth[id(f)]
+    if mask != full:
+        bits = ((mask + 1) & ~mask).bit_length() - 1
+        return False, f"fails under assignment {bits:0{len(atoms)}b}"
     return True, ""
 
 
@@ -560,7 +577,7 @@ def soundness_fuzz(system: ProofSystem, trials: int, seed: int,
             template = pool[name]
             if template is None:
                 template = SCHEMAS[name]
-            metavars = sorted({n.name for n in walk(template)
+            metavars = sorted({n.name for n in subterms(template)
                                if isinstance(n, Prop)})
             renamed = _rename_slots(template, agent, constant)
             # a plain-prop instance plus a random one; the former is the
@@ -619,42 +636,3 @@ def soundness_fuzz(system: ProofSystem, trials: int, seed: int,
             check_valid("RE", conclusion)
 
     return report
-
-
-# --- the NECKVR / bottom-axiom equivalence -----------------------------------
-
-EQUIV_SCRIPT = """\
-# Two readings of value-introspection in SMLKVr, derived in sequence.
-#
-# Steps 1-2: the rule NECKVR immediately yields [a]^c ~F.
-# Steps 3-12: conversely, with [a]^c ~F in hand (step 2), an arbitrary
-# theorem can be put under [a]^c using only DISTKVR, NECK, TAUT, MP and
-# RE; NECKVR is never cited after step 2.  Shown for (p | ~p).
-vocab agents a b ; props p q r ; constants c d
-1. ~F BY TAUT
-2. [a]^c ~F BY NECKVR(1, i=a, c=c)
-3. (~F <-> T) BY TAUT
-4. ([a]^c ~F <-> [a]^c T) BY RE(3, at=0)
-5. (([a]^c ~F <-> [a]^c T) -> ([a]^c ~F -> [a]^c T)) BY TAUT
-6. ([a]^c ~F -> [a]^c T) BY MP(4, 5)
-7. [a]^c T BY MP(2, 6)
-8. ([a](T -> (p | ~p)) -> ([a]^c T -> [a]^c (p | ~p))) BY AX(DISTKVR, i=a, c=c, p=T, q=(p | ~p))
-9. (T -> (p | ~p)) BY TAUT
-10. [a](T -> (p | ~p)) BY NECK(9, i=a)
-11. ([a]^c T -> [a]^c (p | ~p)) BY MP(10, 8)
-12. [a]^c (p | ~p) BY MP(7, 11)
-"""
-
-
-def derive_equivalent_neckv(system: ProofSystem = SMLKVR) -> Derivation:
-    """Checked two-way derivation connecting NECKVR with the theorem
-    [i]^c ~F: the rule gives the theorem, and the theorem plus DISTKVR
-    and NECK recovers arbitrary NECKVR conclusions without reusing the
-    rule."""
-    if system.name != "SMLKVr":
-        raise ValueError("the equivalence lives in SMLKVr")
-    d = parse_script(EQUIV_SCRIPT)
-    result = check_derivation(system, d)
-    if not result.ok:
-        raise AssertionError(f"internal script broken: {result.describe()}")
-    return d

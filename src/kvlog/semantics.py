@@ -14,10 +14,11 @@ eval_ternary interprets box formulas over ternary models:
               (each listed pair in its listed orientation; SYM lists both)
 
 All three are normal boxes, so one evaluator covers them: _compile turns
-a formula into a postorder program of its distinct subterms, and _run
-computes each instruction's truth set on the whole model at once, as a
-bitmask over the states.  eval_ternary tests one bit of the root's mask;
-counterexample_state takes its lowest zero bit.
+a formula into a program with one instruction per distinct subterm, by a
+flat loop over syntax.subterms (children first, shared by identity), and
+_run computes each instruction's truth set on the whole model at once, as
+a bitmask over the states.  eval_ternary tests one bit of the root's
+mask; counterexample_state takes its lowest zero bit.
 
 find_countermodel enumerates pointed ternary models in a fixed order
 (state count, valuations, edges, triple sets; SYM and INCL hold by
@@ -34,7 +35,8 @@ from typing import Optional
 
 from .models import FOKripkeModel, TernaryModel, derive_ternary, make_ternary
 from .syntax import (And, BBoxB, BBoxU, Box, Formula, KvCond, LanguageError,
-                     Neg, Prop, Top, Vocabulary, translate_T, walk)
+                     Neg, Prop, Top, Vocabulary, first_in_preorder, subterms,
+                     translate_T)
 
 DEFAULT_BUDGET = 20_000_000
 
@@ -52,7 +54,7 @@ def eval_fo(model: FOKripkeModel, state: str, f: Formula) -> bool:
     is [i]^c ~g over the successor pairs that disagree on c."""
     if state not in model.states:
         raise ValueError(f"unknown state {state!r}")
-    for node in walk(f):
+    for node in subterms(f):
         if isinstance(node, (BBoxU, BBoxB)):
             raise LanguageError(f"not an ELKvR formula: {f}")
     return eval_ternary(derive_ternary(model), state, translate_T(f))
@@ -82,70 +84,61 @@ def valid_on(model: TernaryModel, f: Formula) -> bool:
 _TOP, _PROP, _NEG, _AND, _BOX, _PAIRS = range(6)
 
 
-def _compile(f: Formula, agents, props, consts):
-    """Postorder program of the distinct subterms of f, and per instruction
-    whether it is static (independent of the ternary relation).
+def _compile(f: Formula, agents, props, consts) -> list:
+    """Program with one instruction per distinct subterm of f, children
+    first (syntax.subterms: shared by identity, as equality of frozen
+    dataclasses rehashes whole trees).
 
     An instruction is (op, arg, x, y): x and y index the children (both
     the one child of a unary node), arg is the prop index, the agent index
     of [i], or the slot agent * len(consts) + constant of a constant-indexed
-    box.  [i]^c g runs as [i]^c(g, g).  Subterms are shared by identity:
-    equality of frozen dataclasses rehashes whole trees.
+    box.  [i]^c g runs as [i]^c(g, g).  A KvCond raises LanguageError;
+    otherwise the first unknown symbol in preorder raises ValueError.
     """
-    index: dict[int, int] = {}
+    agent_at = {a: k for k, a in enumerate(agents)}
+    prop_at = {p: k for k, p in enumerate(props)}
+    const_at = {c: k for k, c in enumerate(consts)}
+    nodes = subterms(f)
+    index = {id(g): k for k, g in enumerate(nodes)}
     prog: list[tuple[int, int, int, int]] = []
-    static: list[bool] = []
-    symbol = {"agent": {a: k for k, a in enumerate(agents)},
-              "prop": {p: k for k, p in enumerate(props)},
-              "constant": {c: k for k, c in enumerate(consts)}}
-    unknown: list[ValueError] = []
-
-    def resolve(kind: str, name: str) -> int:
-        k = symbol[kind].get(name)
-        if k is None:
-            unknown.append(ValueError(f"unknown {kind} {name!r}"))
-            return 0
-        return k
-
-    def visit(node: Formula) -> int:
-        k = index.get(id(node))
-        if k is not None:
-            return k
-        if isinstance(node, Top):
-            ins = (_TOP, 0, 0, 0)
-        elif isinstance(node, Prop):
-            ins = (_PROP, resolve("prop", node.name), 0, 0)
-        elif isinstance(node, Neg):
-            x = visit(node.sub)
-            ins = (_NEG, 0, x, x)
-        elif isinstance(node, And):
-            ins = (_AND, 0, visit(node.left), visit(node.right))
-        elif isinstance(node, Box):
-            ai = resolve("agent", node.agent)
-            x = visit(node.sub)
-            ins = (_BOX, ai, x, x)
-        elif isinstance(node, (BBoxU, BBoxB)):
-            slot = (resolve("agent", node.agent) * len(consts)
-                    + resolve("constant", node.constant))
-            if isinstance(node, BBoxU):
-                x = visit(node.sub)
-                ins = (_PAIRS, slot, x, x)
+    try:
+        for node in nodes:
+            kind = type(node)
+            if kind is Neg:
+                x = index[id(node.sub)]
+                prog.append((_NEG, 0, x, x))
+            elif kind is Prop:
+                prog.append((_PROP, prop_at[node.name], 0, 0))
+            elif kind is And:
+                prog.append((_AND, 0, index[id(node.left)], index[id(node.right)]))
+            elif kind is Box:
+                x = index[id(node.sub)]
+                prog.append((_BOX, agent_at[node.agent], x, x))
+            elif kind is BBoxU or kind is BBoxB:
+                slot = agent_at[node.agent] * len(consts) + const_at[node.constant]
+                x, y = (node.sub, node.sub) if kind is BBoxU else (node.left, node.right)
+                prog.append((_PAIRS, slot, index[id(x)], index[id(y)]))
+            elif kind is Top:
+                prog.append((_TOP, 0, 0, 0))
             else:
-                ins = (_PAIRS, slot, visit(node.left), visit(node.right))
-        elif isinstance(node, KvCond):
+                break               # a KvCond
+    except KeyError:
+        pass                        # an unknown symbol
+    if len(prog) < len(nodes):
+        if any(isinstance(g, KvCond) for g in nodes):
             raise LanguageError(f"conditional Kv formula needs an FO model: {f}")
-        else:
-            raise TypeError(f"not a formula: {node!r}")
-        op, _, x, y = ins
-        static.append(op in (_TOP, _PROP) or op != _PAIRS and static[x] and static[y])
-        index[id(node)] = len(prog)
-        prog.append(ins)
-        return len(prog) - 1
+        symbols = (("agent", "agent", agent_at), ("constant", "constant", const_at),
+                   ("prop", "name", prop_at))
 
-    visit(f)
-    if unknown:
-        raise unknown[0]
-    return prog, static
+        def unknown(g: Formula) -> Optional[ValueError]:
+            for kind, attr, known in symbols:
+                name = getattr(g, attr, None)
+                if name is not None and name not in known:
+                    return ValueError(f"unknown {kind} {name!r}")
+            return None
+
+        raise unknown(first_in_preorder(f, unknown))
+    return prog
 
 
 def _run(prog, todo, vals, n, prop_masks, succ, pairs) -> None:
@@ -189,7 +182,7 @@ def _run(prog, todo, vals, n, prop_masks, succ, pairs) -> None:
 def _truth(model: TernaryModel, f: Formula) -> int:
     """Truth set of f on the whole model, bit k for model.states[k]."""
     vocab = model.vocab
-    prog, _ = _compile(f, vocab.agents, vocab.props, vocab.constants)
+    prog = _compile(f, vocab.agents, vocab.props, vocab.constants)
     n = len(model.states)
     at = {s: k for k, s in enumerate(model.states)}
     prop_masks = [sum(1 << at[s] for s, props in model.val.items() if p in props)
@@ -248,7 +241,7 @@ def _pair_tables(n: int) -> dict[int, list[tuple[tuple[int, int], ...]]]:
 def _scan_sizes(f: Formula, vocab: Vocabulary):
     """The agents, props and constants f uses, in vocabulary order."""
     used = set()
-    for node in walk(f):
+    for node in subterms(f):
         used.update(getattr(node, key, None) for key in ("agent", "name", "constant"))
     return tuple(tuple(x for x in names if x in used)
                  for names in (vocab.agents, vocab.props, vocab.constants))
@@ -281,7 +274,10 @@ def _search_chunk(f, vocab, n, val_lo, val_hi, budget):
     succ and pairs laid out as _run reads them.  The static instructions
     run once per edge choice, the dynamic ones once per triple choice."""
     agents, props, consts = _scan_sizes(f, vocab)
-    prog, static = _compile(f, agents, props, consts)
+    prog = _compile(f, agents, props, consts)
+    static: list[bool] = []         # independent of the ternary relation
+    for op, _, x, y in prog:
+        static.append(op in (_TOP, _PROP) or op != _PAIRS and static[x] and static[y])
     fixed = [i for i, st in enumerate(static) if st]
     moving = [i for i, st in enumerate(static) if not st]
     vals = [0] * len(prog)
@@ -328,7 +324,7 @@ def find_countermodel(f: Formula, max_states: int, vocab: Vocabulary,
     Raises BudgetExceededError past the enumeration budget.  The result
     does not depend on the worker count.
     """
-    for node in walk(f):
+    for node in subterms(f):
         if isinstance(node, KvCond):
             raise LanguageError(f"conditional Kv formula not searchable: {f}")
     agents, props, consts = _scan_sizes(f, vocab)

@@ -11,13 +11,20 @@ Four languages share one AST:
 Only eight constructors are stored: Top, Prop, Neg, And, Box, KvCond,
 BBoxU, BBoxB.  Everything else (F, |, ->, <->, diamonds) is sugar that
 the parser desugars and the printer restores.
+
+Formulas share subterms (the sides of <->, reduce_r's phi and psi), so a
+tree can be exponentially larger than its graph.  Whole-formula functions
+loop over subterms(f), the distinct subterms by identity, children first,
+and memoize by node id; occurrences and replace_at walk tree paths.  All
+use explicit stacks, so no formula depth overflows Python's stack.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from functools import reduce
+from typing import Iterable, Mapping, Optional
 
 
 class KvlogError(Exception):
@@ -38,10 +45,13 @@ class LanguageError(KvlogError):
 _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*")
 
 # Deepest nesting of prefix operators, boxes and parentheses the parser
-# accepts.  Each level is one recursive call of the parser, and of the
-# printer, the translations and the compiler on the result, so the limit
-# keeps them all within Python's stack.
+# accepts.  Each level is one recursive call of the parser; everything
+# that reads the parsed formula runs without recursion.
 MAX_NESTING = 100
+
+# Longest text print_formula produces, checked on the graph before any
+# string is built: reduce_r of [a]^c( x7 has 346 nodes but 2,089,820 chars.
+MAX_PRINTED = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -179,64 +189,83 @@ def dia_b(agent: str, constant: str, f: Formula, g: Formula) -> Formula:
 
 def big_and(parts: Iterable[Formula]) -> Formula:
     parts = list(parts)
-    if not parts:
-        return Top()
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+    return reduce(And, parts) if parts else Top()
 
 
 def big_or(parts: Iterable[Formula]) -> Formula:
     parts = list(parts)
-    if not parts:
-        return bot()
-    out = parts[0]
-    for p in parts[1:]:
-        out = f_or(out, p)
-    return out
+    return reduce(f_or, parts) if parts else bot()
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
+    if isinstance(f, (Neg, Box, KvCond, BBoxU)):
+        return (f.sub,)
+    if isinstance(f, (And, BBoxB)):
+        return (f.left, f.right)
     if isinstance(f, (Top, Prop)):
         return ()
-    if isinstance(f, Neg):
-        return (f.sub,)
-    if isinstance(f, And):
-        return (f.left, f.right)
-    if isinstance(f, Box):
-        return (f.sub,)
-    if isinstance(f, KvCond):
-        return (f.sub,)
-    if isinstance(f, BBoxU):
-        return (f.sub,)
-    if isinstance(f, BBoxB):
-        return (f.left, f.right)
     raise TypeError(f"not a formula: {f!r}")
 
 
-def rebuild(f: Formula, subs: tuple[Formula, ...]) -> Formula:
-    if isinstance(f, (Top, Prop)):
-        return f
-    if isinstance(f, Neg):
-        return Neg(subs[0])
-    if isinstance(f, And):
-        return And(subs[0], subs[1])
-    if isinstance(f, Box):
-        return Box(f.agent, subs[0])
-    if isinstance(f, KvCond):
+def rebuild(f: Formula, subs) -> Formula:
+    kind = type(f)
+    if kind is Neg or kind is And:
+        return kind(*subs)
+    if kind is Box:
+        return Box(f.agent, *subs)
+    if kind is BBoxU or kind is BBoxB:
+        return kind(f.agent, f.constant, *subs)
+    if kind is KvCond:
         return KvCond(f.agent, subs[0], f.constant)
-    if isinstance(f, BBoxU):
-        return BBoxU(f.agent, f.constant, subs[0])
-    if isinstance(f, BBoxB):
-        return BBoxB(f.agent, f.constant, subs[0], subs[1])
+    if kind is Prop or kind is Top:
+        return f
     raise TypeError(f"not a formula: {f!r}")
 
 
-def walk(f: Formula) -> Iterator[Formula]:
-    yield f
-    for c in children(f):
-        yield from walk(c)
+def subterms(f: Formula) -> list[Formula]:
+    """The distinct subterms of f, told apart by object identity, each
+    listed after its children, left ones first."""
+    done: dict[int, Formula] = {}     # by id, in the order listed
+    stack: list = [f]
+    while stack:
+        node = stack.pop()
+        if node is None:              # the node below has its children done
+            node = stack.pop()
+            done[id(node)] = node
+        elif id(node) in done:        # no formula contains itself, so no
+            continue                  # node is met again before it is done
+        elif (kind := type(node)) is Neg or kind is Box or kind is BBoxU \
+                or kind is KvCond:    # children() inlined: the hot loop
+            stack += (node, None, node.sub)
+        elif kind is And or kind is BBoxB:
+            stack += (node, None, node.right, node.left)
+        elif kind is Prop or kind is Top:
+            done[id(node)] = node
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+    return list(done.values())
+
+
+def fold(f: Formula, step):
+    """step(g, subs) over the distinct subterms g of f, children first,
+    where subs holds its results for g's children; its result for f."""
+    done: dict[int, object] = {}
+    for g in subterms(f):
+        kind = type(g)                # children() inlined, as in subterms
+        if kind is And or kind is BBoxB:
+            subs: tuple = (done[id(g.left)], done[id(g.right)])
+        elif kind is Prop or kind is Top:
+            subs = ()
+        else:
+            subs = (done[id(g.sub)],)
+        done[id(g)] = step(g, subs)
+    return done[id(f)]
+
+
+def first_in_preorder(f: Formula, pred) -> Optional[Formula]:
+    """The first subterm of f in preorder for which pred holds, or None:
+    a node's own hit, else its left child's, else its right child's."""
+    return fold(f, lambda g, hits: g if pred(g) else next(filter(None, hits), None))
 
 
 # --- tokenizer -------------------------------------------------------------
@@ -245,43 +274,24 @@ _SINGLE = {
     "~": "TILDE", "&": "AMP", "|": "PIPE", "(": "LPAR", ")": "RPAR",
     "[": "LBRK", "]": "RBRK", ">": "RANG", "^": "CARET", ",": "COMMA",
 }
+# Token kinds by group of _TOKEN_RE, tried in order; None for _SINGLE.
+_TOKEN_KINDS = ("IFF", "ARROW", "LANG", "TOP", "BOT", "KV", None, "IDENT")
+_TOKEN_RE = re.compile(r"(<->)|(->)|(<)|(T)|(F)|(Kv)|([~&|()\[\]>^,])|([a-z][a-z0-9_]*)")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     toks = []
     i, n = 0, len(text)
     while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
+        if text[i] in " \t\r\n":
             i += 1
             continue
-        if text.startswith("<->", i):
-            toks.append(("IFF", "<->", i))
-            i += 3
-        elif text.startswith("->", i):
-            toks.append(("ARROW", "->", i))
-            i += 2
-        elif ch == "<":
-            toks.append(("LANG", "<", i))
-            i += 1
-        elif ch == "T":
-            toks.append(("TOP", "T", i))
-            i += 1
-        elif ch == "F":
-            toks.append(("BOT", "F", i))
-            i += 1
-        elif text.startswith("Kv", i):
-            toks.append(("KV", "Kv", i))
-            i += 2
-        elif ch in _SINGLE:
-            toks.append((_SINGLE[ch], ch, i))
-            i += 1
-        else:
-            m = _IDENT_RE.match(text, i)
-            if not m:
-                raise ParseError(f"unexpected character {ch!r}", i, text)
-            toks.append(("IDENT", m.group(0), i))
-            i = m.end()
+        m = _TOKEN_RE.match(text, i)
+        if not m:
+            raise ParseError(f"unexpected character {text[i]!r}", i, text)
+        toks.append((_TOKEN_KINDS[m.lastindex - 1] or _SINGLE[m.group()],
+                     m.group(), i))
+        i = m.end()
     toks.append(("EOF", "", n))
     return toks
 
@@ -326,7 +336,7 @@ class _Parser:
         self.infer = None if vocab is not None else _InferredVocab()
 
     def peek(self, ahead: int = 0) -> tuple[str, str, int]:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos + ahead]  # parsing stops at EOF
 
     def take(self, kind: str) -> tuple[str, str, int]:
         tok = self.toks[self.pos]
@@ -346,21 +356,20 @@ class _Parser:
             self.infer.claim(value, role, at, self.text)
         return value
 
+    # a -> b -> c is a -> (b -> c), and so for <->, built in a loop
     def formula(self) -> Formula:
-        left = self.implication()
-        if self.peek()[0] == "IFF":
+        parts = [self.implication()]
+        while self.peek()[0] == "IFF":
             self.take("IFF")
-            right = self.formula()
-            return iff(left, right)
-        return left
+            parts.append(self.implication())
+        return reduce(lambda out, p: iff(p, out), reversed(parts))
 
     def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[0] == "ARROW":
+        parts = [self.disjunction()]
+        while self.peek()[0] == "ARROW":
             self.take("ARROW")
-            right = self.implication()
-            return imp(left, right)
-        return left
+            parts.append(self.disjunction())
+        return reduce(lambda out, p: imp(p, out), reversed(parts))
 
     def disjunction(self) -> Formula:
         out = self.conjunction()
@@ -401,16 +410,11 @@ class _Parser:
             f = self.formula()
             self.take("RPAR")
             return f
-        if kind == "LBRK":
-            self.take("LBRK")
+        if kind in ("LBRK", "LANG"):
+            self.take(kind)
             agent = self.name("agent")
-            self.take("RBRK")
-            return self.modal_tail(agent, diamond=False)
-        if kind == "LANG":
-            self.take("LANG")
-            agent = self.name("agent")
-            self.take("RANG")
-            return self.modal_tail(agent, diamond=True)
+            self.take("RBRK" if kind == "LBRK" else "RANG")
+            return self.modal_tail(agent, diamond=kind == "LANG")
         if kind == "KV":
             return self.kv()
         if kind == "IDENT":
@@ -419,8 +423,7 @@ class _Parser:
 
     def modal_tail(self, agent: str, diamond: bool) -> Formula:
         if self.peek()[0] != "CARET":
-            sub = self.unary()
-            return dia(agent, sub) if diamond else Box(agent, sub)
+            return (dia if diamond else Box)(agent, self.unary())
         self.take("CARET")
         constant = self.name("constant")
         if self.peek()[0] == "LPAR":
@@ -430,16 +433,12 @@ class _Parser:
                 self.take("COMMA")
                 second = self.formula()
                 self.take("RPAR")
-                if diamond:
-                    return dia_b(agent, constant, first, second)
-                return BBoxB(agent, constant, first, second)
+                return (dia_b if diamond else BBoxB)(agent, constant, first, second)
             self.take("RPAR")
             sub = first       # parenthesized unary argument
         else:
             sub = self.unary()
-        if diamond:
-            return dia_u(agent, constant, sub)
-        return BBoxU(agent, constant, sub)
+        return (dia_u if diamond else BBoxU)(agent, constant, sub)
 
     def kv(self) -> Formula:
         self.take("KV")
@@ -457,13 +456,15 @@ class _Parser:
         self.take("RPAR")
         return KvCond(agent, sub, constant)
 
+    def whole(self) -> Formula:
+        f = self.formula()
+        self.take("EOF")
+        return f
+
 
 def parse(text: str, vocab: Vocabulary) -> Formula:
     """Parse text against a vocabulary.  Raises ParseError with a column."""
-    p = _Parser(text, vocab)
-    f = p.formula()
-    p.take("EOF")
-    return f
+    return _Parser(text, vocab).whole()
 
 
 def parse_infer(text: str) -> tuple[Formula, Vocabulary]:
@@ -473,9 +474,7 @@ def parse_infer(text: str) -> tuple[Formula, Vocabulary]:
     symbol so the resulting vocabulary is well formed.
     """
     p = _Parser(text, None)
-    f = p.formula()
-    p.take("EOF")
-    return f, p.infer.build()
+    return p.whole(), p.infer.build()
 
 
 # --- printing --------------------------------------------------------------
@@ -487,82 +486,96 @@ def split_iff(f: Formula) -> Optional[tuple[Formula, Formula]]:
             and isinstance(f.left.sub.right, Neg)
             and isinstance(f.right, Neg) and isinstance(f.right.sub, And)
             and isinstance(f.right.sub.right, Neg)):
-        a = f.left.sub.left
-        b = f.left.sub.right.sub
+        a, b = f.left.sub.left, f.left.sub.right.sub
         if f.right.sub.left == b and f.right.sub.right.sub == a:
             return a, b
     return None
 
 
-def print_formula(f: Formula) -> str:
-    """Render a formula; parse(print_formula(f), vocab) returns f unchanged.
-
-    Sugar is restored on fixed patterns, preferring F, diamonds, <-> and |
-    over raw negations.
-    """
+def _pieces(f: Formula) -> tuple:
+    """The printed text of f as strings and the subformulas printed between
+    them.  Sugar is restored on fixed patterns, preferring F, diamonds, <->
+    and | over raw negations."""
     if isinstance(f, Top):
-        return "T"
+        return ("T",)
     if isinstance(f, Prop):
-        return f.name
+        return (f.name,)
     if isinstance(f, And):
         sides = split_iff(f)
         if sides is not None:
-            return f"({print_formula(sides[0])} <-> {print_formula(sides[1])})"
-        return f"({print_formula(f.left)} & {print_formula(f.right)})"
+            return ("(", sides[0], " <-> ", sides[1], ")")
+        return ("(", f.left, " & ", f.right, ")")
     if isinstance(f, Box):
-        return f"[{f.agent}]{print_formula(f.sub)}"
+        return (f"[{f.agent}]", f.sub)
     if isinstance(f, KvCond):
-        return f"Kv[{f.agent}]({print_formula(f.sub)}, {f.constant})"
+        return (f"Kv[{f.agent}](", f.sub, f", {f.constant})")
     if isinstance(f, BBoxU):
-        return f"[{f.agent}]^{f.constant} {print_formula(f.sub)}"
+        return (f"[{f.agent}]^{f.constant} ", f.sub)
     if isinstance(f, BBoxB):
-        return (f"[{f.agent}]^{f.constant}"
-                f"({print_formula(f.left)}, {print_formula(f.right)})")
-    if isinstance(f, Neg):
-        g = f.sub
-        if isinstance(g, Top):
-            return "F"
-        if isinstance(g, Box) and isinstance(g.sub, Neg):
-            return f"<{g.agent}>{print_formula(g.sub.sub)}"
-        if isinstance(g, BBoxU) and isinstance(g.sub, Neg):
-            return f"<{g.agent}>^{g.constant} {print_formula(g.sub.sub)}"
-        if (isinstance(g, BBoxB) and isinstance(g.left, Neg)
-                and isinstance(g.right, Neg)):
-            return (f"<{g.agent}>^{g.constant}"
-                    f"({print_formula(g.left.sub)}, {print_formula(g.right.sub)})")
-        if isinstance(g, And):
-            if isinstance(g.left, Neg) and isinstance(g.right, Neg):
-                return f"({print_formula(g.left.sub)} | {print_formula(g.right.sub)})"
-            if isinstance(g.right, Neg):
-                return f"({print_formula(g.left)} -> {print_formula(g.right.sub)})"
-        return f"~{print_formula(g)}"
-    raise TypeError(f"not a formula: {f!r}")
+        return (f"[{f.agent}]^{f.constant}(", f.left, ", ", f.right, ")")
+    g = f.sub                         # f is a Neg
+    if isinstance(g, Top):
+        return ("F",)
+    if isinstance(g, Box) and isinstance(g.sub, Neg):
+        return (f"<{g.agent}>", g.sub.sub)
+    if isinstance(g, BBoxU) and isinstance(g.sub, Neg):
+        return (f"<{g.agent}>^{g.constant} ", g.sub.sub)
+    if (isinstance(g, BBoxB) and isinstance(g.left, Neg)
+            and isinstance(g.right, Neg)):
+        return (f"<{g.agent}>^{g.constant}(", g.left.sub, ", ", g.right.sub, ")")
+    if isinstance(g, And) and isinstance(g.right, Neg):
+        if isinstance(g.left, Neg):
+            return ("(", g.left.sub, " | ", g.right.sub, ")")
+        return ("(", g.left, " -> ", g.right.sub, ")")
+    return ("~", g)
+
+
+def print_formula(f: Formula) -> str:
+    """Render a formula; parse(print_formula(f), vocab) returns f unchanged.
+    Raises ValueError, before building any string, past MAX_PRINTED."""
+    pieces: dict[int, tuple] = {}
+    size: dict[int, int] = {}
+    for g in subterms(f):
+        pieces[id(g)] = p = _pieces(g)
+        size[id(g)] = sum(len(x) if isinstance(x, str) else size[id(x)]
+                          for x in p)
+    if size[id(f)] > MAX_PRINTED:
+        raise ValueError(f"formula prints to {size[id(f)]:,} characters, "
+                         f"over the cap of {MAX_PRINTED:,}")
+    out, stack = [], [f]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):
+            out.append(x)
+        else:
+            stack.extend(reversed(pieces[id(x)]))
+    return "".join(out)
 
 
 # --- language membership ---------------------------------------------------
 
-def _strip_nn(f: Formula) -> Formula:
-    while isinstance(f, Neg) and isinstance(f.sub, Neg):
-        f = f.sub.sub
-    return f
+def _negnn(f: Formula) -> Formula:
+    # negate, folding a top-level double negation away
+    return f.sub if isinstance(f, Neg) else Neg(f)
 
 
 def nn_normalize(f: Formula) -> Formula:
     """Remove double negations everywhere."""
-    f = _strip_nn(f)
-    return rebuild(f, tuple(nn_normalize(c) for c in children(f)))
+    return fold(f, lambda g, subs: _negnn(subs[0]) if isinstance(g, Neg)
+                else rebuild(g, subs))
 
 
 def _is_bot_shaped(f: Formula) -> bool:
     # bottom up to double negation: F, ~~F, ~T, ...
-    g = _strip_nn(f)
-    return isinstance(g, Neg) and isinstance(g.sub, Top)
+    while isinstance(f, Neg) and isinstance(f.sub, Neg):
+        f = f.sub.sub
+    return isinstance(f, Neg) and isinstance(f.sub, Top)
 
 
 def language_of(f: Formula) -> set[str]:
     """Tags among ELKvR, MLKvR, MLKvB, MLKv that f belongs to."""
     tags = {"ELKvR", "MLKvR", "MLKvB", "MLKv"}
-    for node in walk(f):
+    for node in subterms(f):
         if isinstance(node, KvCond):
             tags &= {"ELKvR"}
         elif isinstance(node, BBoxU):
@@ -576,38 +589,31 @@ def language_of(f: Formula) -> set[str]:
 
 # --- translations ----------------------------------------------------------
 
+def _reject(f: Formula, banned, language: str) -> None:
+    bad = first_in_preorder(f, lambda g: isinstance(g, banned))
+    if bad is not None:
+        raise LanguageError(f"not an {language} formula: {bad}")
+
+
 def translate_T(f: Formula) -> Formula:
     """ELKvR to MLKvR: Kv[i](g, c) becomes [i]^c ~g, the rest is homomorphic."""
-    if isinstance(f, (BBoxU, BBoxB)):
-        raise LanguageError(f"not an ELKvR formula: {f}")
-    if isinstance(f, KvCond):
-        return BBoxU(f.agent, f.constant, Neg(translate_T(f.sub)))
-    return rebuild(f, tuple(translate_T(c) for c in children(f)))
+    _reject(f, (BBoxU, BBoxB), "ELKvR")
+    return fold(f, lambda g, subs: BBoxU(g.agent, g.constant, Neg(subs[0]))
+                if isinstance(g, KvCond) else rebuild(g, subs))
 
 
 def translate_T_inv(f: Formula) -> Formula:
     """MLKvR to ELKvR: [i]^c g becomes Kv[i](~g, c), double negations removed."""
-    if isinstance(f, (KvCond, BBoxB)):
-        raise LanguageError(f"not an MLKvR formula: {f}")
-    if isinstance(f, BBoxU):
-        arg = nn_normalize(Neg(translate_T_inv(f.sub)))
-        return KvCond(f.agent, arg, f.constant)
-    return rebuild(f, tuple(translate_T_inv(c) for c in children(f)))
+    _reject(f, (KvCond, BBoxB), "MLKvR")
+    return fold(f, lambda g, subs: rebuild(g, subs) if not isinstance(g, BBoxU)
+                else KvCond(g.agent, nn_normalize(Neg(subs[0])), g.constant))
 
 
 def embed_unary(f: Formula) -> Formula:
     """MLKvR into MLKvB: [i]^c g becomes [i]^c(g, g)."""
-    if isinstance(f, (KvCond, BBoxB)):
-        raise LanguageError(f"not an MLKvR formula: {f}")
-    if isinstance(f, BBoxU):
-        g = embed_unary(f.sub)
-        return BBoxB(f.agent, f.constant, g, g)
-    return rebuild(f, tuple(embed_unary(c) for c in children(f)))
-
-
-def _negnn(f: Formula) -> Formula:
-    # negate, folding a top-level double negation away
-    return f.sub if isinstance(f, Neg) else Neg(f)
+    _reject(f, (KvCond, BBoxB), "MLKvR")
+    return fold(f, lambda g, subs: BBoxB(g.agent, g.constant, *subs, *subs)
+                if isinstance(g, BBoxU) else rebuild(g, subs))
 
 
 def _binary_diamond_expansion(agent: str, constant: str,
@@ -635,27 +641,25 @@ def reduce_r(f: Formula) -> Formula:
 
     Box occurrences are handled through the same expansion dualized.
     """
-    if isinstance(f, KvCond):
-        raise LanguageError(f"not an MLKvB formula: {f}")
-    if isinstance(f, Neg) and isinstance(f.sub, BBoxB):
-        inner = f.sub
-        phi = _negnn(reduce_r(inner.left))
-        psi = _negnn(reduce_r(inner.right))
-        return _binary_diamond_expansion(inner.agent, inner.constant, phi, psi)
-    if isinstance(f, BBoxB):
-        phi = _negnn(reduce_r(f.left))
-        psi = _negnn(reduce_r(f.right))
-        return Neg(_binary_diamond_expansion(f.agent, f.constant, phi, psi))
-    return rebuild(f, tuple(reduce_r(c) for c in children(f)))
+    _reject(f, KvCond, "MLKvB")
+
+    def step(g, subs):
+        if isinstance(g, BBoxB):
+            return Neg(_binary_diamond_expansion(
+                g.agent, g.constant, _negnn(subs[0]), _negnn(subs[1])))
+        if isinstance(g, Neg) and isinstance(g.sub, BBoxB):
+            return _negnn(subs[0])
+        return rebuild(g, subs)
+
+    return fold(f, step)
 
 
 # --- structural operations -------------------------------------------------
 
 def substitute(f: Formula, sigma: Mapping[str, Formula]) -> Formula:
     """Simultaneous substitution of formulas for proposition names."""
-    if isinstance(f, Prop) and f.name in sigma:
-        return sigma[f.name]
-    return rebuild(f, tuple(substitute(c, sigma) for c in children(f)))
+    return fold(f, lambda g, subs: sigma.get(g.name, g) if isinstance(g, Prop)
+                else rebuild(g, subs))
 
 
 Path = tuple[int, ...]
@@ -678,47 +682,44 @@ def replace_at(f: Formula, positions: Iterable[Path],
     rejected so proof checking cannot silently rewrite the wrong spot.
     """
     wanted = set(tuple(p) for p in positions)
-
-    def go(node: Formula, here: Path) -> Formula:
-        if here in wanted:
+    done: list[Formula] = []            # rebuilt subterms, in tree order
+    stack: list = [(f, ())]
+    while stack:
+        node, here = stack.pop()
+        if here is None:                # its children are rebuilt
+            k = len(done) - len(children(node))
+            done[k:] = [rebuild(node, done[k:])]
+        elif here in wanted:
             if node != psi:
                 raise ValueError(f"subterm at {here} is {node}, not {psi}")
             wanted.discard(here)
-            return chi
-        subs = children(node)
-        return rebuild(node, tuple(go(c, here + (i,)) for i, c in enumerate(subs)))
-
-    out = go(f, ())
+            done.append(chi)
+        else:
+            subs = children(node)
+            stack.append((node, None))
+            stack += [(subs[i], here + (i,)) for i in reversed(range(len(subs)))]
     if wanted:
         raise ValueError(f"positions {sorted(wanted)} do not exist in {f}")
-    return out
+    return done[0]
 
 
 def occurrences(f: Formula, psi: Formula) -> list[Path]:
     """All paths where psi occurs in f, in preorder."""
     found: list[Path] = []
-
-    def go(node: Formula, here: Path) -> None:
+    stack: list[tuple[Formula, Path]] = [(f, ())]
+    while stack:
+        node, here = stack.pop()
         if node == psi:
             found.append(here)
-            return
-        for i, c in enumerate(children(node)):
-            go(c, here + (i,))
-
-    go(f, ())
+        else:
+            subs = children(node)
+            stack.extend((subs[i], here + (i,)) for i in reversed(range(len(subs))))
     return found
 
 
 def modal_depth(f: Formula) -> int:
-    subs = children(f)
-    inner = max((modal_depth(c) for c in subs), default=0)
-    if isinstance(f, (Box, KvCond, BBoxU, BBoxB)):
-        return inner + 1
-    return inner
-
-
-def path_to_str(path: Path) -> str:
-    return "-" if not path else ".".join(str(i) for i in path)
+    return fold(f, lambda g, depths: max(depths, default=0)
+                + isinstance(g, (Box, KvCond, BBoxU, BBoxB)))
 
 
 def str_to_path(text: str) -> Path:
@@ -743,28 +744,26 @@ def random_formula(rng, vocab: Vocabulary, depth: int, lang: str = "MLKvB") -> F
             return Top() if rng.randrange(2) == 0 else bot()
         return Prop(vocab.props[roll])
     shape = rng.randrange(6)
+
+    def sub() -> Formula:
+        return random_formula(rng, vocab, depth - 1, lang)
+
     if shape == 0:
         return random_formula(rng, vocab, 0, lang)
     if shape == 1:
-        return Neg(random_formula(rng, vocab, depth - 1, lang))
+        return Neg(sub())
     if shape == 2:
-        return And(random_formula(rng, vocab, depth - 1, lang),
-                   random_formula(rng, vocab, depth - 1, lang))
+        return And(sub(), sub())
     agent = vocab.agents[rng.randrange(len(vocab.agents))]
     if shape == 3:
-        return Box(agent, random_formula(rng, vocab, depth - 1, lang))
+        return Box(agent, sub())
     constant = vocab.constants[rng.randrange(len(vocab.constants))]
     if lang == "ELKvR":
-        return KvCond(agent, random_formula(rng, vocab, depth - 1, lang), constant)
+        return KvCond(agent, sub(), constant)
     if lang == "MLKvR":
-        return BBoxU(agent, constant, random_formula(rng, vocab, depth - 1, lang))
+        return BBoxU(agent, constant, sub())
     if lang == "MLKv":
         node = BBoxU(agent, constant, bot())
-        return Neg(node) if shape == 5 else node
-    if shape == 4:
-        return BBoxB(agent, constant,
-                     random_formula(rng, vocab, depth - 1, lang),
-                     random_formula(rng, vocab, depth - 1, lang))
-    return Neg(BBoxB(agent, constant,
-                     random_formula(rng, vocab, depth - 1, lang),
-                     random_formula(rng, vocab, depth - 1, lang)))
+    else:
+        node = BBoxB(agent, constant, sub(), sub())
+    return node if shape == 4 else Neg(node)

@@ -25,6 +25,10 @@ from .models import (FOKripkeModel, TernaryModel, make_fo, make_ternary,
 SEP = "/"
 TAGS = ("0", "1")
 
+# Most states unravel builds.  The tree grows as the branching factor to
+# the power of the depth, so the paths are counted before they are built.
+MAX_TREE_STATES = 10_000
+
 
 def _require_valid(model: TernaryModel) -> None:
     violations = validate_ternary(model)
@@ -68,7 +72,7 @@ def unravel(model: TernaryModel, root: str, depth: int) -> TernaryModel:
     Path states are named root/agent:state/agent:state/...  An edge joins
     a path to its one-step extensions; a triple joins a path to two of
     its children through the same agent when the endpoint bases form a
-    triple in the source.
+    triple in the source.  Raises ValueError past MAX_TREE_STATES states.
     """
     _require_valid(model)
     if root not in model.states:
@@ -80,10 +84,21 @@ def unravel(model: TernaryModel, root: str, depth: int) -> TernaryModel:
         for (s, t) in pairs:
             succ[agent].setdefault(s, []).append(t)
     order = {s: i for i, s in enumerate(model.states)}
+    ends, total, levels = {root: 1}, 1, 0   # paths per end state, by level
+    while ends and levels < depth:
+        nxt: dict[str, int] = {}
+        for s, count in ends.items():
+            for agent in model.vocab.agents:
+                for t in succ[agent].get(s, ()):
+                    nxt[t] = nxt.get(t, 0) + count
+        ends, total, levels = nxt, total + sum(nxt.values()), levels + 1
+        if total > MAX_TREE_STATES:
+            raise ValueError(f"unraveling to depth {depth} makes more than "
+                             f"{MAX_TREE_STATES:,} states")
 
     paths: list[tuple] = [(root,)]
     frontier = [(root,)]
-    for _ in range(depth):
+    for _ in range(levels):
         extended = []
         for path in frontier:
             base = _base_of_path(path)

@@ -352,6 +352,64 @@ class TestProve:
         assert err == "error: line 1: unreadable line 'garbage'\n"
 
 
+class TestDeepInputs:
+    OPERANDS = 3000
+
+    @pytest.mark.parametrize("op", ["&", "|", "->", "<->"])
+    def test_long_chains_run_through_every_formula_command(
+            self, capsys, models_dir, op):
+        text = f" {op} ".join(["p"] * self.OPERANDS)
+        left = str(models_dir / "binary_vs_unary_left.json")
+        for argv in (["parse", text], ["check", left, "s", text],
+                     ["valid", left, text],
+                     ["translate", "--dir", "elkv2ml", text],
+                     ["translate", "--dir", "ml2elkv", text],
+                     ["reduce", text], ["refute", "--max-states", "1", text]):
+            rc, _, err = run(capsys, *argv)
+            assert rc in (0, 1) and "Traceback" not in err, argv[:-1]
+
+    def test_deep_proof_steps_are_checked_and_printed(self, capsys, tmp_path):
+        conj = "(" + " & ".join(["p"] * self.OPERANDS) + ")"
+        printed = "(" * (self.OPERANDS - 1) + "p" + " & p)" * (self.OPERANDS - 1)
+        taut = f"([a]{conj} -> [a]{conj})"
+        conclusion = f"([a]{printed} -> [a]{printed})"
+        cases = [
+            (f"1. {taut} BY TAUT\n", 0,
+             {"ok": True, "steps": 1, "conclusion": conclusion}),
+            (f"1. {taut} BY TAUT\n2. [b]{taut} BY NECK(1, i=a)\n", 1,
+             {"ok": False, "steps": 2, "conclusion": f"[b]{conclusion}",
+              "step": 2, "reason": "stated formula is not the boxed premise"}),
+        ]
+        for text, code, payload in cases:
+            script = tmp_path / "deep.kvp"
+            script.write_text(text)
+            rc, out, err = run(capsys, "prove", "--json", "SMLKVr", str(script))
+            assert (rc, err) == (code, "")
+            assert json.loads(out) == payload
+
+    def test_reduced_formula_past_the_print_cap_is_a_usage_error(self, capsys):
+        rc, out, err = run(capsys, "reduce", "[a]^c(" * 7 + "p" + ", q)" * 7)
+        assert (rc, out) == (2, "")
+        assert err == ("error: formula prints to 2,089,820 characters, "
+                       "over the cap of 1,000,000\n")
+
+    def test_unraveling_past_the_tree_cap_is_a_usage_error(
+            self, capsys, tmp_path):
+        _, out, _ = run(capsys, "gen", "--kind", "direct", "--states", "2",
+                        "--density", "0.9", "--seed", "1", "--agents", "a",
+                        "--constants", "c")
+        model = tmp_path / "m.json"
+        model.write_text(out)
+        rc, _, _ = run(capsys, "convert", str(model), "--to", "fo", "--root",
+                       "s0", "--depth", "6")
+        assert rc == 0
+        rc, out, err = run(capsys, "convert", str(model), "--to", "fo",
+                           "--root", "s0", "--depth", "12")
+        assert (rc, out) == (2, "")
+        assert err == ("error: unraveling to depth 12 makes more than "
+                       "10,000 states\n")
+
+
 class TestFuzz:
     def test_summary_line_and_exit_code(self, capsys):
         rc, out, _ = run(capsys, "fuzz", "SMLKV", "--trials", "10", "--seed", "3")

@@ -20,11 +20,11 @@ from kvlog.proof import (
     SMLKVR,
     SYSTEMS,
     TAUT_ATOM_LIMIT,
+    CheckResult,
     Derivation,
     ScriptError,
     axiom_instance,
     check_derivation,
-    derive_equivalent_neckv,
     is_tautology,
     parse_script,
     soundness_fuzz,
@@ -209,15 +209,18 @@ class TestNegativeCorpus:
 
 
 class TestDerivedNecessitation:
-    def test_equivalence_script_is_accepted_and_concludes_a_boxed_tautology(self):
-        der = derive_equivalent_neckv()
+    def test_equivalence_script_is_accepted_and_concludes_a_boxed_tautology(
+            self, proofs_dir):
+        der, _ = load_script(proofs_dir / "axiom_to_nec.kvp")
         assert check_derivation(SMLKVR, der).ok
         assert der.steps[-1].formula == BBoxU("a", "c", f_or(P, Neg(P)))
 
-    def test_equivalence_is_specific_to_the_unary_relational_system(self):
+    def test_equivalence_is_specific_to_the_unary_relational_system(
+            self, proofs_dir):
+        der, _ = load_script(proofs_dir / "axiom_to_nec.kvp")
         for system in (SMLKVB, SMLKV):
-            with pytest.raises(ValueError, match="SMLKVr"):
-                derive_equivalent_neckv(system)
+            assert check_derivation(system, der) == CheckResult(
+                False, 2, f"{system.name} has no rule NECKVR")
 
 
 class TestJustificationLocality:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from kvlog.syntax import (And, BBoxB, BBoxU, Box, KvCond, LanguageError, Neg,
                           language_of, modal_depth, nn_normalize, occurrences,
                           parse, parse_infer, print_formula, random_formula,
                           reduce_r, replace_at, substitute, subterm_at,
-                          translate_T, translate_T_inv)
+                          subterms, translate_T, translate_T_inv)
 
 from oracles import oracle_eval
 
@@ -177,6 +178,54 @@ class TestReduceR:
             for sub in walk(reduce_r(f)):
                 if isinstance(sub, BBoxB):
                     assert sub.left == sub.right
+
+
+class TestSharedSubterms:
+    def test_reduction_at_depth_seven_is_small_as_a_graph(self):
+        f, _ = parse_infer("[a]^c(" * 7 + "p" + ", q)" * 7)
+        out = reduce_r(f)
+        assert len(subterms(out)) == 346
+        assert modal_depth(out) == 7
+        assert language_of(out) == {"MLKvR"}
+
+    @pytest.mark.parametrize("fn, x", [
+        (translate_T, KvCond("a", Neg(P), "c")),
+        (translate_T_inv, BBoxU("a", "c", Neg(Neg(P)))),
+        (embed_unary, BBoxU("a", "c", P)),
+        (reduce_r, BBoxB("a", "c", P, Neg(Q))),
+        (nn_normalize, Neg(Neg(Box("a", P)))),
+        (lambda f: substitute(f, {"p": Box("b", Q)}), And(P, Box("a", P))),
+    ], ids=["T", "T_inv", "embed", "reduce", "nn", "substitute"])
+    def test_a_shared_argument_is_mapped_once(self, fn, x):
+        out = fn(And(x, x))
+        assert out.left is out.right
+        assert out == And(fn(x), fn(x))
+
+    def test_size_cap_is_checked_on_the_graph(self):
+        f = P
+        for _ in range(60):
+            f = And(f, f)
+        assert modal_depth(f) == 0 and language_of(f) == {
+            "ELKvR", "MLKvR", "MLKvB", "MLKv"}
+        with pytest.raises(ValueError, match="over the cap of 1,000,000"):
+            print_formula(f)
+
+    @pytest.mark.parametrize("fn, language, outer", [
+        (translate_T, "ELKvR", BBoxU("a", "c", BBoxB("a", "c", P, Q))),
+        (translate_T_inv, "MLKvR", KvCond("a", BBoxB("a", "c", P, Q), "c")),
+        (embed_unary, "MLKvR", BBoxB("a", "c", KvCond("a", P, "c"), Q)),
+        (reduce_r, "MLKvB", KvCond("a", KvCond("b", P, "d"), "c")),
+    ])
+    def test_language_errors_name_the_first_offender_in_preorder(
+            self, fn, language, outer):
+        f = And(Neg(outer), children_of(outer)[0])
+        with pytest.raises(LanguageError, match=re.escape(
+                f"not an {language} formula: {outer}")):
+            fn(f)
+
+
+def children_of(f):
+    return [getattr(f, a) for a in ("sub", "left", "right") if hasattr(f, a)]
 
 
 class TestSubstitute:
