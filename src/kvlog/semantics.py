@@ -247,9 +247,9 @@ def _scan_sizes(f: Formula, vocab: Vocabulary):
                  for names in (vocab.agents, vocab.props, vocab.constants))
 
 
-def _hit_to_model(f, vocab, n, hit) -> tuple[TernaryModel, str]:
+def _hit_to_model(vocab, used, n, hit) -> tuple[TernaryModel, str]:
     _, prop_masks, succ, pairs, state = hit
-    agents, props, consts = _scan_sizes(f, vocab)
+    agents, props, consts = used
     states = tuple(f"s{i}" for i in range(n))
     rel: dict[str, set] = {}
     for k, row in enumerate(succ):
@@ -266,15 +266,15 @@ def _hit_to_model(f, vocab, n, hit) -> tuple[TernaryModel, str]:
     return make_ternary(vocab, states, rel, tern, val), states[state]
 
 
-def _search_chunk(f, vocab, n, val_lo, val_hi, budget):
-    """Scan valuation indices [val_lo, val_hi) for n states.
+def _search_chunk(prog, used, n, val_lo, val_hi, budget):
+    """Scan valuation indices [val_lo, val_hi) for n states with the
+    program of a formula over the symbols `used` (see _scan_sizes).
 
     Returns (models_evaluated_in_chunk, hit) where hit is None or
     (models_evaluated_before_hit, prop_masks, succ, pairs, state_index),
     succ and pairs laid out as _run reads them.  The static instructions
     run once per edge choice, the dynamic ones once per triple choice."""
-    agents, props, consts = _scan_sizes(f, vocab)
-    prog = _compile(f, agents, props, consts)
+    agents, props, consts = used
     static: list[bool] = []         # independent of the ternary relation
     for op, _, x, y in prog:
         static.append(op in (_TOP, _PROP) or op != _PAIRS and static[x] and static[y])
@@ -308,9 +308,8 @@ def _search_chunk(f, vocab, n, val_lo, val_hi, budget):
 
 
 def _worker(payload):
-    f, vocab, n, lo, hi, budget = payload
     try:
-        return ("done", _search_chunk(f, vocab, n, lo, hi, budget))
+        return ("done", _search_chunk(*payload))
     except BudgetExceededError as exc:
         return ("budget", exc.evaluated)
 
@@ -327,19 +326,20 @@ def find_countermodel(f: Formula, max_states: int, vocab: Vocabulary,
     for node in subterms(f):
         if isinstance(node, KvCond):
             raise LanguageError(f"conditional Kv formula not searchable: {f}")
-    agents, props, consts = _scan_sizes(f, vocab)
+    used = _scan_sizes(f, vocab)
+    prog = _compile(f, *used)
     spent = 0
     for n in range(1, max_states + 1):
-        val_space = 1 << (len(props) * n)
+        val_space = 1 << (len(used[1]) * n)
         remaining = budget - spent
         if workers <= 1 or val_space < 2 * workers:
-            results = [_worker((f, vocab, n, 0, val_space, remaining))]
+            results = [_worker((prog, used, n, 0, val_space, remaining))]
         else:
             # split the valuation space; merge respecting sequential order.
             # Imported here: multiprocessing costs every importer about 2.5 MB.
             from concurrent.futures import ProcessPoolExecutor
             bounds = [val_space * k // workers for k in range(workers + 1)]
-            payloads = [(f, vocab, n, bounds[k], bounds[k + 1], remaining)
+            payloads = [(prog, used, n, bounds[k], bounds[k + 1], remaining)
                         for k in range(workers) if bounds[k] < bounds[k + 1]]
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_worker, payloads))
@@ -352,7 +352,7 @@ def find_countermodel(f: Formula, max_states: int, vocab: Vocabulary,
             if hit is not None:
                 if spent + hit[0] + 1 > budget:
                     raise BudgetExceededError(budget + 1)
-                return _hit_to_model(f, vocab, n, hit)
+                return _hit_to_model(vocab, used, n, hit)
             spent += evaluated
             if spent > budget:
                 raise BudgetExceededError(budget + 1)

@@ -268,3 +268,20 @@ def test_criterion_9():
         fo, fo_root = assign_values(tree)
         assert fo_root in fo.states
         assert set(fo.vc.values()) <= set(fo.domain)
+
+
+def test_values_are_glued_as_defined():
+    """Two distinct states share a value of c exactly when they are
+    children of one state through one agent and no triple of that agent
+    and c relates them in either order (criterion 4's conversions)."""
+    for trial, model, f, root in criterion_4_cases():
+        fo, _ = to_fo(model, root, modal_depth(f))
+        tree = unravel(split(model), f"{root}.0", modal_depth(f))
+        up = {t: (s, agent) for agent, pairs in tree.rel.items()
+              for s, t in pairs}
+        for c in VOC.constants:
+            for t, u in itertools.combinations(tree.states, 2):
+                glued = t in up and up[t] == up.get(u) and not (
+                    {(up[t][0], t, u), (up[t][0], u, t)}
+                    & tree.tern[(up[t][1], c)])
+                assert (fo.vc[(c, t)] == fo.vc[(c, u)]) == glued, (trial, t, u)

@@ -387,6 +387,13 @@ class TestDeepInputs:
             assert (rc, err) == (code, "")
             assert json.loads(out) == payload
 
+    def test_parallel_search_takes_a_long_formula(self, capsys):
+        text = " & ".join(["(p | ~p)"] * 1500)
+        rc, out, err = run(capsys, "refute", "--workers", "2",
+                           "--max-states", "2", text)
+        assert rc == 0 and "Traceback" not in err
+        assert out == "no countermodel with at most 2 states\n"
+
     def test_reduced_formula_past_the_print_cap_is_a_usage_error(self, capsys):
         rc, out, err = run(capsys, "reduce", "[a]^c(" * 7 + "p" + ", q)" * 7)
         assert (rc, out) == (2, "")

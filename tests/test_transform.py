@@ -171,8 +171,40 @@ class TestAssignValues:
     def test_rejects_non_tree(self):
         m = make_ternary(VOC1, ("s", "t"),
                          {"a": {("s", "t"), ("t", "s")}}, {}, {})
-        with pytest.raises(Exception):
+        with pytest.raises(ValueError, match="^model is not a rooted tree$"):
             assign_values(m)
+
+    FORK = {"a": {("r", "x"), ("r", "y"), ("r", "z")}}
+
+    @pytest.mark.parametrize("states, rel, tern, message", [
+        # w and z both have two predecessors; w comes first in state order
+        (("r", "x", "w", "z"),
+         {"a": {("r", "x"), ("r", "w"), ("r", "z"), ("x", "z"), ("x", "w")}},
+         {}, "state 'w' has two predecessors"),
+        (("r", "x"), {"a": {("r", "x"), ("r", "r")}}, {},
+         "state 'r' loops on itself"),
+        (("r", "x", "y"), {"a": {("r", "x")}}, {}, "model is not a rooted tree"),
+        (("r", "x", "y", "z"), FORK, {("a", "c"): {("r", "x", "x")}},
+         "triple (r, x, x) relates a state to itself"),
+        # neither triple joins a state to two of its children; the first
+        # in state order is named
+        (("r", "x", "y", "z"), {"a": {("r", "x"), ("r", "y"), ("x", "z")}},
+         {("a", "c"): {("x", "z", "y"), ("r", "x", "z")}},
+         "triple (r, x, z) is not parent-children"),
+        # x~y and y~z are glued, x and z are related
+        (("r", "x", "y", "z"), FORK,
+         {("a", "c"): {("r", "x", "z"), ("r", "z", "x")}},
+         "value identification for 'c' is not transitive at (x, z)"),
+        # only the later-to-earlier orientation is related, so x~y is glued
+        (("r", "x", "y", "z"), FORK, {("a", "c"): {("r", "y", "x")}},
+         "related pair (y, x) got one value for 'c'"),
+    ])
+    def test_rejections_name_the_first_offender(self, states, rel, tern,
+                                                message):
+        model = make_ternary(VOC1, states, rel, tern, {})
+        with pytest.raises(ValueError) as caught:
+            assign_values(model)
+        assert str(caught.value) == message
 
 
 class TestToFo:
