@@ -198,25 +198,25 @@ def distinguishing_formula(m1: TernaryModel, s1: str,
         kind = reason[0]
         if kind == "Zig":
             _, agent, w1 = reason
-            conj = _dedup([dist(w1, w2) for w2 in succ2[agent].get(t2, ())])
+            conj = dict.fromkeys(dist(w1, w2) for w2 in succ2[agent].get(t2, ()))
             out = dia(agent, big_and(conj))
         elif kind == "Zag":
             _, agent, w2 = reason
-            conj = _dedup([Neg(dist(w1, w2)) for w1 in succ1[agent].get(t1, ())])
+            conj = dict.fromkeys(Neg(dist(w1, w2)) for w1 in succ1[agent].get(t1, ()))
             out = Neg(dia(agent, big_and(conj)))
         elif kind == "KvbZig":
             _, agent, constant, w1, x1 = reason
-            left = _dedup([dist(w1, w2) for w2 in m2.states
-                           if not in_z_at((w1, w2), rnd)])
-            right = _dedup([dist(x1, x2) for x2 in m2.states
-                            if not in_z_at((x1, x2), rnd)])
+            left = dict.fromkeys(dist(w1, w2) for w2 in m2.states
+                                  if not in_z_at((w1, w2), rnd))
+            right = dict.fromkeys(dist(x1, x2) for x2 in m2.states
+                                   if not in_z_at((x1, x2), rnd))
             out = dia_b(agent, constant, big_and(left), big_and(right))
         else:
             _, agent, constant, w2, x2 = reason
-            left = _dedup([Neg(dist(w1, w2)) for w1 in m1.states
-                           if not in_z_at((w1, w2), rnd)])
-            right = _dedup([Neg(dist(x1, x2)) for x1 in m1.states
-                            if not in_z_at((x1, x2), rnd)])
+            left = dict.fromkeys(Neg(dist(w1, w2)) for w1 in m1.states
+                                  if not in_z_at((w1, w2), rnd))
+            right = dict.fromkeys(Neg(dist(x1, x2)) for x1 in m1.states
+                                   if not in_z_at((x1, x2), rnd))
             out = Neg(dia_b(agent, constant, big_and(left), big_and(right)))
         memo[(t1, t2)] = out
         return out
@@ -225,14 +225,6 @@ def distinguishing_formula(m1: TernaryModel, s1: str,
     if not eval_ternary(m1, s1, formula) or eval_ternary(m2, s2, formula):
         raise AssertionError("replayed distinguishing formula failed evaluation")
     return formula
-
-
-def _dedup(parts: list[Formula]) -> list[Formula]:
-    seen = []
-    for p in parts:
-        if p not in seen:
-            seen.append(p)
-    return seen
 
 
 _FO_CLAUSES = {"KvbZig": "KvrZig", "KvbZag": "KvrZag"}

@@ -55,13 +55,10 @@ SCHEMAS: dict[str, Formula] = {name: parse(text, META_VOCAB)
                                for name, text in _SCHEMA_TEXT.items()}
 
 
-def schema_metavars(name: str) -> tuple[str, ...]:
-    template = SCHEMAS[name]
-    found = []
-    for node in subterms(template):
-        if isinstance(node, Prop) and node.name not in found:
-            found.append(node.name)
-    return tuple(sorted(found))
+def schema_metavars(template: Formula) -> tuple[str, ...]:
+    """The proposition names of a schema template, sorted."""
+    return tuple(sorted({g.name for g in subterms(template)
+                         if isinstance(g, Prop)}))
 
 
 @dataclass(frozen=True)
@@ -103,7 +100,7 @@ def axiom_instance(system: ProofSystem, schema: str,
     exactly."""
     if schema not in system.schemas or schema == "TAUT":
         raise ValueError(f"{system.name} has no schema {schema}")
-    needed = set(schema_metavars(schema))
+    needed = set(schema_metavars(SCHEMAS[schema]))
     given = set(sigma)
     if given != needed:
         missing = ", ".join(sorted(needed - given)) or "none"
@@ -116,45 +113,24 @@ def axiom_instance(system: ProofSystem, schema: str,
 
 # --- tautology checking -----------------------------------------------------
 
-def _shapes(nodes: list[Formula]) -> dict[int, int]:
-    """For each of the distinct subterms listed children first, a number
-    that is equal exactly for structurally equal subterms.  Each node is
-    keyed by its own symbols and its children's numbers, so no deep
-    formula is ever hashed or compared recursively."""
-    number: dict[int, int] = {}
-    table: dict[tuple, int] = {}
-    for g in nodes:
-        key = (type(g), getattr(g, "name", None), getattr(g, "agent", None),
-               getattr(g, "constant", None),
-               *(number[id(c)] for c in children(g)))
-        number[id(g)] = table.setdefault(key, len(table))
-    return number
-
-
 def propositional_skeleton(f: Formula) -> tuple[list[Formula], list]:
     """Atoms of f (props and modal subformulas under its boolean
-    connectives), structurally equal ones merged, in order of first
-    occurrence; and the distinct nodes of its boolean skeleton, children
-    first, each paired with its atom index (None for Top, Neg, And)."""
-    nodes = subterms(f)
-    shape = _shapes(nodes)
-    atoms: list[Formula] = []
-    index: dict[int, int] = {}        # shape -> atom index
-    seen: set[int] = set()
+    connectives), equal ones merged, in order of first occurrence; and the
+    distinct nodes of its boolean skeleton, children first, each paired
+    with its atom index (None for Top, Neg, And)."""
+    index: dict[Formula, int] = {}    # atom -> its index
+    atom: dict[int, Optional[int]] = {}   # skeleton node id -> its atom index
     stack = [f]
     while stack:                      # preorder over the skeleton
         g = stack.pop()
-        if id(g) in seen:
+        if id(g) in atom:
             continue
-        seen.add(id(g))
-        if isinstance(g, (Neg, And)):
+        if isinstance(g, (Top, Neg, And)):
+            atom[id(g)] = None
             stack.extend(reversed(children(g)))
-        elif not isinstance(g, Top) and shape[id(g)] not in index:
-            index[shape[id(g)]] = len(atoms)
-            atoms.append(g)
-    return atoms, [(g, None if isinstance(g, (Top, Neg, And))
-                    else index[shape[id(g)]])
-                   for g in nodes if id(g) in seen]
+        else:
+            atom[id(g)] = index.setdefault(g, len(index))
+    return list(index), [(g, atom[id(g)]) for g in subterms(f) if id(g) in atom]
 
 
 def is_tautology(f: Formula) -> tuple[bool, str]:
@@ -549,6 +525,8 @@ def soundness_fuzz(system: ProofSystem, trials: int, seed: int,
             system=system.name, trial=trial, kind=kind,
             formula=print_formula(formula), state=state, params=params))
 
+    pool = {name: SCHEMAS[name] for name in system.schemas if name != "TAUT"}
+    pool.update(extra_schemas or {})
     for trial in range(start, start + trials):
         rng = random.Random(seed * 1_000_003 + trial)
         model, params = _fuzz_model(rng, trial)
@@ -568,17 +546,9 @@ def soundness_fuzz(system: ProofSystem, trials: int, seed: int,
         agent = vocab.agents[rng.randrange(len(vocab.agents))]
         constant = vocab.constants[rng.randrange(len(vocab.constants))]
 
-        pool = dict(extra_schemas or {})
-        for name in system.schemas:
-            if name != "TAUT":
-                pool.setdefault(name, None)
         instances = []
-        for name in sorted(pool):
-            template = pool[name]
-            if template is None:
-                template = SCHEMAS[name]
-            metavars = sorted({n.name for n in subterms(template)
-                               if isinstance(n, Prop)})
+        for name, template in sorted(pool.items()):
+            metavars = schema_metavars(template)
             renamed = _rename_slots(template, agent, constant)
             # a plain-prop instance plus a random one; the former is the
             # strongest single probe on small models

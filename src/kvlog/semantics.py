@@ -86,8 +86,8 @@ _TOP, _PROP, _NEG, _AND, _BOX, _PAIRS = range(6)
 
 def _compile(f: Formula, agents, props, consts) -> list:
     """Program with one instruction per distinct subterm of f, children
-    first (syntax.subterms: shared by identity, as equality of frozen
-    dataclasses rehashes whole trees).
+    first (syntax.subterms: shared by identity; equal subterms that are
+    distinct objects get one instruction each).
 
     An instruction is (op, arg, x, y): x and y index the children (both
     the one child of a unary node), arg is the prop index, the agent index

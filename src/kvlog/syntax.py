@@ -15,14 +15,15 @@ the parser desugars and the printer restores.
 Formulas share subterms (the sides of <->, reduce_r's phi and psi), so a
 tree can be exponentially larger than its graph.  Whole-formula functions
 loop over subterms(f), the distinct subterms by identity, children first,
-and memoize by node id; occurrences and replace_at walk tree paths.  All
-use explicit stacks, so no formula depth overflows Python's stack.
+and memoize by node id; occurrences and replace_at walk tree paths.  ==
+is structural and expands each pair of subterms once; hash is structural
+and cached on each node.  No formula depth overflows Python's stack.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
 from typing import Iterable, Mapping, Optional
 
@@ -95,40 +96,105 @@ class Vocabulary:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Formula:
+    """Base of the eight node classes; == and hash are structural."""
+
+    _hash = None                      # the cached hash; not a field
+
     def __str__(self) -> str:
         return print_formula(self)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        seen: set[tuple[int, int]] = set()    # pairs already expanded
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if (kind := type(a)) is not type(b):
+                return False
+            if kind is Prop:
+                if a.name != b.name:
+                    return False
+                continue
+            if kind is Top or (pair := (id(a), id(b))) in seen:
+                continue
+            seen.add(pair)
+            if kind is And:
+                stack += ((a.right, b.right), (a.left, b.left))
+            elif kind is Neg:
+                stack.append((a.sub, b.sub))
+            elif a.agent != b.agent or kind is not Box and a.constant != b.constant:
+                return False
+            elif kind is BBoxB:
+                stack += ((a.right, b.right), (a.left, b.left))
+            else:                             # Box, KvCond, BBoxU
+                stack.append((a.sub, b.sub))
+        return True
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        stack: list = [self]
+        while self._hash is None:
+            g = stack.pop()
+            if g is None:                     # the node below has its children hashed
+                g = stack.pop()
+                kind = type(g)
+                if kind is And:
+                    key = (kind, g.left._hash, g.right._hash)
+                elif kind is Neg:
+                    key = (kind, g.sub._hash)
+                elif kind is Box:
+                    key = (kind, g.agent, g.sub._hash)
+                elif kind is BBoxB:
+                    key = (kind, g.agent, g.constant, g.left._hash, g.right._hash)
+                else:                         # KvCond, BBoxU
+                    key = (kind, g.agent, g.constant, g.sub._hash)
+                g.__dict__["_hash"] = hash(key)
+            elif g._hash is not None:
+                continue
+            elif (kind := type(g)) is Prop or kind is Top:
+                g.__dict__["_hash"] = hash((kind, g.name) if kind is Prop else kind)
+            elif kind is And or kind is BBoxB:
+                stack += (g, None, g.right, g.left)
+            else:
+                stack += (g, None, g.sub)
+        return self._hash
+
+    def __reduce__(self):             # drops the cached hash: it is per process
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+@dataclass(frozen=True, eq=False)
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prop(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Neg(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Box(Formula):
     agent: str
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KvCond(Formula):
     """Conditional value knowledge: Kv[agent](sub, constant)."""
 
@@ -137,7 +203,7 @@ class KvCond(Formula):
     constant: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BBoxU(Formula):
     """Unary constant-indexed box [agent]^constant sub."""
 
@@ -146,7 +212,7 @@ class BBoxU(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BBoxB(Formula):
     """Binary constant-indexed box [agent]^constant(left, right)."""
 

@@ -23,6 +23,7 @@ from .models import (FOKripkeModel, TernaryModel, make_fo, make_ternary,
 
 SEP = "/"
 TAGS = ("0", "1")
+_ESCAPE = str.maketrans({"\\": "\\\\", SEP: "\\" + SEP, ":": "\\:"})
 
 # Most states unravel builds.  The tree grows as the branching factor to
 # the power of the depth, so each level is counted before it is built.
@@ -61,13 +62,14 @@ def split(model: TernaryModel) -> TernaryModel:
 def unravel(model: TernaryModel, root: str, depth: int) -> TernaryModel:
     """Tree of paths from root with at most `depth` hops.
 
-    Each path is a state named root/agent:state/agent:state/..., listed
-    level by level, and a path's extensions follow the source's state
-    order.  An edge joins a path to its one-step extensions; a triple
-    joins a path to two of its extensions through the same agent when
-    their last states form a triple in the source.  Each level is counted
-    from the one before it, and ValueError is raised before a level that
-    would take the tree past MAX_TREE_STATES states is built.
+    Each path is a state named root/agent:state/agent:state/..., with a
+    backslash before each \\, / and : of the states after root, listed
+    level by level; a path's extensions follow the source's state order.
+    An edge joins a path to its one-step extensions; a triple joins a path
+    to two of its extensions through the same agent when their last
+    states form a triple in the source.  Each level is counted from the
+    one before it, and ValueError is raised before a level that would
+    take the tree past MAX_TREE_STATES states is built.
     """
     _require_valid(model)
     if root not in model.states:
@@ -94,7 +96,7 @@ def unravel(model: TernaryModel, root: str, depth: int) -> TernaryModel:
         for path in frontier:
             for agent in agents:
                 for t in succ[agent].get(base[path], ()):
-                    ext = f"{path}{SEP}{agent}:{t}"
+                    ext = f"{path}{SEP}{agent}:{t.translate(_ESCAPE)}"
                     base[ext] = t
                     kids.setdefault((path, agent), []).append(ext)
                     extended.append(ext)

@@ -31,6 +31,33 @@ def oracle_violations(model):
     return out
 
 
+# --- structural equality ----------------------------------------------------
+
+def oracle_equal(f, g):
+    """Same constructor, same symbols, equal children in order, by plain
+    recursion."""
+    if type(f) is not type(g):
+        return False
+    if isinstance(f, Top):
+        return True
+    if isinstance(f, Prop):
+        return f.name == g.name
+    if isinstance(f, Neg):
+        return oracle_equal(f.sub, g.sub)
+    if isinstance(f, And):
+        return oracle_equal(f.left, g.left) and oracle_equal(f.right, g.right)
+    if isinstance(f, Box):
+        return f.agent == g.agent and oracle_equal(f.sub, g.sub)
+    if isinstance(f, (KvCond, BBoxU)):
+        return (f.agent == g.agent and f.constant == g.constant
+                and oracle_equal(f.sub, g.sub))
+    if isinstance(f, BBoxB):
+        return (f.agent == g.agent and f.constant == g.constant
+                and oracle_equal(f.left, g.left)
+                and oracle_equal(f.right, g.right))
+    raise TypeError(f"not a formula: {f!r}")
+
+
 # --- evaluation --------------------------------------------------------------
 
 def oracle_eval(model, state, f):

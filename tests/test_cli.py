@@ -368,9 +368,13 @@ class TestDeepInputs:
             rc, _, err = run(capsys, *argv)
             assert rc in (0, 1) and "Traceback" not in err, argv[:-1]
 
-    def test_deep_proof_steps_are_checked_and_printed(self, capsys, tmp_path):
+    def conj_and_printed(self):
+        """A conjunction of OPERANDS copies of p, and how it prints."""
         conj = "(" + " & ".join(["p"] * self.OPERANDS) + ")"
-        printed = "(" * (self.OPERANDS - 1) + "p" + " & p)" * (self.OPERANDS - 1)
+        return conj, "(" * (self.OPERANDS - 1) + "p" + " & p)" * (self.OPERANDS - 1)
+
+    def test_deep_proof_steps_are_checked_and_printed(self, capsys, tmp_path):
+        conj, printed = self.conj_and_printed()
         taut = f"([a]{conj} -> [a]{conj})"
         conclusion = f"([a]{printed} -> [a]{printed})"
         cases = [
@@ -386,6 +390,43 @@ class TestDeepInputs:
             rc, out, err = run(capsys, "prove", "--json", "SMLKVr", str(script))
             assert (rc, err) == (code, "")
             assert json.loads(out) == payload
+
+    def test_equal_deep_sides_print_as_a_biconditional(self, capsys):
+        conj, printed = self.conj_and_printed()
+        rc, out, err = run(capsys, "parse",
+                           f"(({conj} -> {conj}) & ({conj} -> {conj}))")
+        assert (rc, err) == (0, "")
+        assert out == (f"formula: ({printed} <-> {printed})\n"
+                       "languages: ELKvR, MLKv, MLKvB, MLKvR\n")
+
+    def test_deep_boxed_tautology_is_accepted(self, capsys, tmp_path):
+        conj, printed = self.conj_and_printed()
+        script = tmp_path / "deep.kvp"
+        script.write_text(f"1. ([a]{conj} -> [a]{conj}) BY TAUT\n"
+                          f"2. [a]([a]{conj} -> [a]{conj}) BY NECK(1, i=a)\n")
+        rc, out, err = run(capsys, "prove", "SMLKVr", str(script))
+        assert (rc, err) == (0, "")
+        assert out == (f"accepted: 2 steps, conclusion "
+                       f"[a]([a]{printed} -> [a]{printed})\n")
+
+    @pytest.mark.parametrize("steps, code", [
+        (["({P} -> {P}) BY TAUT", "(({P} -> {P}) -> (q -> ({P} -> {P}))) BY TAUT",
+          "(q -> ({P} -> {P})) BY MP(1, 2)"], 0),
+        (["({P} -> {P}) BY TAUT", "({Q} -> {Q}) BY SUB(1, p=q)"], 0),
+        (["({P} <-> ({P} & T)) BY TAUT",
+          "([a]{P} <-> [a]({P} & T)) BY RE(1, at=0)"], 0),
+        (["({P} <-> ({P} & T)) BY TAUT",
+          "([a]{P} <-> [a]({P} & F)) BY RE(1, at=0)"], 1),
+    ], ids=["MP", "SUB", "RE", "RE-mismatch"])
+    def test_deep_rule_steps_end_without_a_traceback(self, capsys, tmp_path,
+                                                      steps, code):
+        conj, _ = self.conj_and_printed()
+        script = tmp_path / "deep.kvp"
+        script.write_text("".join(
+            f"{k}. " + step.format(P=conj, Q=conj.replace("p", "q")) + "\n"
+            for k, step in enumerate(steps, start=1)))
+        rc, _, err = run(capsys, "prove", "SMLKVr", str(script))
+        assert (rc, err) == (code, "")
 
     def test_parallel_search_takes_a_long_formula(self, capsys):
         text = " & ".join(["(p | ~p)"] * 1500)

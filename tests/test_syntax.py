@@ -1,10 +1,16 @@
+import os
+import pathlib
+import pickle
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kvlog
 from kvlog.models import GenParams, generate_direct
 from kvlog.semantics import eval_ternary
 from kvlog.syntax import (And, BBoxB, BBoxU, Box, KvCond, LanguageError, Neg,
@@ -15,7 +21,7 @@ from kvlog.syntax import (And, BBoxB, BBoxU, Box, KvCond, LanguageError, Neg,
                           reduce_r, replace_at, substitute, subterm_at,
                           subterms, translate_T, translate_T_inv)
 
-from oracles import oracle_eval
+from oracles import oracle_equal, oracle_eval
 
 VOC = Vocabulary(("a", "b"), ("p", "q"), ("c", "d"))
 VOC4 = Vocabulary(("a",), ("p", "q", "r", "s"), ("c",))
@@ -226,6 +232,94 @@ class TestSharedSubterms:
 
 def children_of(f):
     return [getattr(f, a) for a in ("sub", "left", "right") if hasattr(f, a)]
+
+
+def positions(f, here=()):
+    """Every tree position of f, in preorder."""
+    yield here
+    for k, child in enumerate(children_of(f)):
+        yield from positions(child, here + (k,))
+
+
+_OTHER = {"a": "b", "b": "a", "c": "d", "d": "c", "p": "q", "q": "p"}
+
+
+def mutant(g):
+    """g with one symbol or constructor changed, its children kept."""
+    if isinstance(g, Top):
+        return P
+    if isinstance(g, Prop):
+        return Prop(_OTHER[g.name])
+    if isinstance(g, Neg):
+        return Box("a", g.sub)
+    if isinstance(g, And):
+        return BBoxB("a", "c", g.left, g.right)
+    if isinstance(g, Box):
+        return Box(_OTHER[g.agent], g.sub)
+    if isinstance(g, KvCond):
+        return KvCond(g.agent, g.sub, _OTHER[g.constant])
+    if isinstance(g, BBoxU):
+        return BBoxU(g.agent, _OTHER[g.constant], g.sub)
+    return BBoxB(_OTHER[g.agent], g.constant, g.left, g.right)
+
+
+class TestStructuralEquality:
+    @staticmethod
+    def negations(f, depth):
+        for _ in range(depth):
+            f = Neg(f)
+        return f
+
+    def test_deep_chains_compare_and_hash_without_recursion(self):
+        f, g = self.negations(P, 100_000), self.negations(Prop("p"), 100_000)
+        assert f is not g and f == g and hash(f) == hash(g)
+        assert g in {f} and f in {g}
+        other = self.negations(Q, 100_000)
+        assert f != other and not f == other and other not in {f, g}
+
+    def test_each_pair_of_shared_subterms_is_compared_once(self):
+        # x_k is one node per level; y_k and z_k are two equal nodes per
+        # level, so the tree below x_100 has 2**100 paths
+        x = y = z = P
+        for _ in range(100):
+            x, y, z = And(x, x), And(y, z), And(z, y)
+        assert x == y and y == z and hash(x) == hash(y) == hash(z)
+        assert x != And(y.left, Neg(z.right))
+
+    @pytest.mark.parametrize("lang", ["ELKvR", "MLKvR", "MLKvB", "MLKv"])
+    def test_equality_and_hash_agree_with_the_oracle(self, lang):
+        rng = random.Random(lang)
+        fs = [random_formula(rng, VOC, rng.randrange(5), lang)
+              for _ in range(300)]
+        for f, g in zip(fs, fs[1:]):
+            copy = parse(print_formula(f), VOC)
+            spots = list(positions(f))
+            spot = spots[rng.randrange(len(spots))]
+            node = subterm_at(f, spot)
+            changed = replace_at(f, [spot], node, mutant(node))
+            for x, y in ((f, g), (f, copy), (copy, f), (f, changed)):
+                same = oracle_equal(x, y)
+                assert (x == y) is same and (x != y) is not same
+                assert hash(x) == hash(y) or not same
+            assert oracle_equal(f, copy) and not oracle_equal(f, changed)
+        kept = set(fs)
+        assert all(parse(print_formula(f), VOC) in kept for f in fs)
+
+    def test_a_pickled_formula_is_found_in_another_process(self):
+        f = random_formula(random.Random(11), VOC, 4, "MLKvB")
+        hash(f)                       # cached on f before it is pickled
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        code = ("import pickle, sys\n"
+                "from kvlog.syntax import Vocabulary, parse\n"
+                "f = pickle.load(sys.stdin.buffer)\n"
+                "vocab = Vocabulary(('a', 'b'), ('p', 'q'), ('c', 'd'))\n"
+                "print(f in {parse(sys.argv[1], vocab)})\n")
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=str(pathlib.Path(kvlog.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code, print_formula(f)],
+                              input=pickle.dumps(f), capture_output=True,
+                              env=env, check=True)
+        assert done.stdout == b"True\n"
 
 
 class TestSubstitute:

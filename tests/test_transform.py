@@ -120,6 +120,24 @@ class TestUnravel:
             unravel(left_model, "s", -1)
 
 
+    def test_separators_in_state_names_are_escaped(self):
+        # unescaped, the path to x.0/a:y.0 would be named like the path
+        # through x.0 to y.0
+        states = ("r", "x", "y", "x.0/a:y")
+        m = make_ternary(VOC1, states,
+                         {"a": {("r", "x"), ("x", "y"), ("r", "x.0/a:y")}},
+                         {("a", "c"): {("r", "x", "x.0/a:y"),
+                                       ("r", "x.0/a:y", "x")}},
+                         {"y": {"p"}, "x.0/a:y": {"p"}})
+        fo, root = to_fo(m, "r", 2)
+        assert root == "r.0"
+        assert {"r.0/a:x.0/a:y.0", "r.0/a:x.0\\/a\\:y.0"} <= set(fo.states)
+        rng = random.Random(4)
+        for _ in range(200):
+            f = random_formula(rng, VOC1, 2, lang="ELKvR")
+            assert eval_fo(fo, root, f) == eval_ternary(m, "r", translate_T(f)), f
+
+
 class TestAssignValues:
     def test_sibling_triple_forces_distinct_values(self, left_model):
         un = unravel(split(left_model), "s.0", 1)
