@@ -30,7 +30,7 @@ from typing import Mapping, Optional
 
 from .models import GenParams, TernaryModel, generate_direct, \
     generate_value_induced
-from .semantics import counterexample_state
+from .semantics import IndexedModel
 from .syntax import (And, BBoxB, BBoxU, Box, Formula, Neg, Path, Prop, Top,
                      Vocabulary, children, f_or, fold, iff, imp, occurrences,
                      parse, print_formula, random_formula, rebuild, replace_at,
@@ -515,7 +515,9 @@ def soundness_fuzz(system: ProofSystem, trials: int, seed: int,
     SUB is exercised through axiom instances only, since substitution
     preserves validity but not truth on a fixed model.  Trial k always
     runs the same checks for the same seed, so a run can be sharded by
-    start offsets without changing what gets tested.
+    start offsets without changing what gets tested.  A trial's checks
+    all run on one semantics.IndexedModel of its model, so the layout is
+    built once and subterms shared between checks are evaluated once.
     """
     report = FuzzReport(system=system.name, trials=trials)
     lang = system.language
@@ -531,13 +533,14 @@ def soundness_fuzz(system: ProofSystem, trials: int, seed: int,
         rng = random.Random(seed * 1_000_003 + trial)
         model, params = _fuzz_model(rng, trial)
         vocab = model.vocab
+        indexed = IndexedModel(model)
 
         def rand(depth=2):
             return random_formula(rng, vocab, depth, lang)
 
         def check_valid(kind, formula) -> bool:
             report.checks += 1
-            state = counterexample_state(model, formula)
+            state = indexed.counterexample_state(formula)
             if state is not None:
                 note(trial, params, kind, formula, state)
                 return False
@@ -564,7 +567,7 @@ def soundness_fuzz(system: ProofSystem, trials: int, seed: int,
         for _ in range(6):
             f = rand()
             report.checks += 1
-            if counterexample_state(model, f) is None:
+            if indexed.counterexample_state(f) is None:
                 known.append(f)
         if not known:
             continue
@@ -577,7 +580,7 @@ def soundness_fuzz(system: ProofSystem, trials: int, seed: int,
         psi = rand()
         conditional = imp(phi, psi)
         report.checks += 1
-        if counterexample_state(model, conditional) is None:
+        if indexed.counterexample_state(conditional) is None:
             check_valid("MP", psi)
 
         # NECK and the NEC rule of the system
@@ -599,7 +602,7 @@ def soundness_fuzz(system: ProofSystem, trials: int, seed: int,
         y = pick((Neg(Neg(x)), And(x, Top()), And(x, x), f_or(x, x)))
         premise = iff(x, y)
         report.checks += 1
-        if counterexample_state(model, premise) is None:
+        if indexed.counterexample_state(premise) is None:
             host = rand()
             spots = occurrences(host, x)
             conclusion = iff(host, replace_at(host, spots, x, y))

@@ -17,8 +17,14 @@ All three are normal boxes, so one evaluator covers them: _compile turns
 a formula into a program with one instruction per distinct subterm, by a
 flat loop over syntax.subterms (children first, shared by identity), and
 _run computes each instruction's truth set on the whole model at once, as
-a bitmask over the states.  eval_ternary tests one bit of the root's
-mask; counterexample_state takes its lowest zero bit.
+a bitmask over the states.  It reads the model through _layout: state
+positions, prop masks, successor bitmasks and the related pairs per
+(agent, constant, state).  IndexedModel holds one model's layout and one
+program that grows by the subterms of each new formula, so the formulas
+a caller evaluates on one model share the layout and every subterm they
+share by identity (soundness_fuzz keeps one per trial).  eval_ternary and
+counterexample_state are one-formula uses of it: the first tests one bit
+of the root's mask, the second takes its lowest zero bit.
 
 find_countermodel enumerates pointed ternary models in a fixed order
 (state count, valuations, edges, triple sets; SYM and INCL hold by
@@ -30,6 +36,7 @@ choice, and the dynamic ones once per triple choice.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Optional
 
@@ -64,19 +71,60 @@ def eval_ternary(model: TernaryModel, state: str, f: Formula) -> bool:
     """Evaluate any KvCond-free formula (the box languages and mixtures)."""
     if state not in model.states:
         raise ValueError(f"unknown state {state!r}")
-    return bool(_truth(model, f) >> model.states.index(state) & 1)
+    return bool(IndexedModel(model).truth(f) >> model.states.index(state) & 1)
 
 
 def counterexample_state(model: TernaryModel, f: Formula) -> Optional[str]:
     """First state, in model order, at which f fails; None if f is valid."""
-    mask = _truth(model, f)
-    if mask == (1 << len(model.states)) - 1:
-        return None
-    return model.states[((mask + 1) & ~mask).bit_length() - 1]
+    return IndexedModel(model).counterexample_state(f)
 
 
 def valid_on(model: TernaryModel, f: Formula) -> bool:
     return counterexample_state(model, f) is None
+
+
+class IndexedModel:
+    """A ternary model's integer layout (see _layout) and one growing
+    program holding the truth set of every subterm evaluated on it so far.
+
+    truth(f) compiles and runs only the subterms of f not met before,
+    matched by identity; it keeps f, and with it those subterms, so their
+    ids stay valid while it lives.  A formula that raises leaves it
+    unchanged.  Nothing is stored on the model: the caller owns the index
+    and drops it with the model.
+    """
+
+    __slots__ = ("states", "symbols", "layout", "roots", "index", "prog", "vals")
+
+    def __init__(self, model: TernaryModel):
+        vocab = model.vocab
+        self.states = model.states
+        self.symbols = _symbols(vocab.agents, vocab.props, vocab.constants)
+        self.layout = _layout(model, self.symbols)
+        self.roots: list[Formula] = []       # every formula compiled so far
+        self.index: dict[int, int] = {}      # id(subterm) -> its instruction
+        self.prog: list[tuple[int, int, int, int]] = []
+        self.vals: list[int] = []
+
+    def truth(self, f: Formula) -> int:
+        """Truth set of f on the whole model, bit k for model.states[k]."""
+        k = self.index.get(id(f))
+        if k is not None:
+            return self.vals[k]
+        prog, vals = self.prog, self.vals
+        start = len(prog)
+        prog += _compile(f, self.symbols, self.index)
+        self.roots.append(f)
+        vals += [0] * (len(prog) - start)
+        _run(prog, range(start, len(prog)), vals, *self.layout)
+        return vals[-1]
+
+    def counterexample_state(self, f: Formula) -> Optional[str]:
+        """First state, in model order, at which f fails; None if f is valid."""
+        mask = self.truth(f)
+        if mask == (1 << len(self.states)) - 1:
+            return None
+        return self.states[((mask + 1) & ~mask).bit_length() - 1]
 
 
 # --- the compiled program ---------------------------------------------------
@@ -84,25 +132,36 @@ def valid_on(model: TernaryModel, f: Formula) -> bool:
 _TOP, _PROP, _NEG, _AND, _BOX, _PAIRS = range(6)
 
 
-def _compile(f: Formula, agents, props, consts) -> list:
-    """Program with one instruction per distinct subterm of f, children
+def _symbols(agents, props, consts) -> tuple[dict, dict, dict]:
+    """Position of each agent, prop and constant, as _compile reads them."""
+    return ({a: k for k, a in enumerate(agents)}, {p: k for k, p in enumerate(props)},
+            {c: k for k, c in enumerate(consts)})
+
+
+def _compile(f: Formula, symbols, index: dict) -> list:
+    """Instructions for the distinct subterms of f not in index, children
     first (syntax.subterms: shared by identity; equal subterms that are
     distinct objects get one instruction each).
 
-    An instruction is (op, arg, x, y): x and y index the children (both
-    the one child of a unary node), arg is the prop index, the agent index
-    of [i], or the slot agent * len(consts) + constant of a constant-indexed
+    symbols is _symbols' result.  index maps id(subterm) to its
+    instruction's position; it grows by the new subterms, which take the
+    positions after the last one, so the caller appends the result to the
+    program index describes and keeps those subterms alive.  An
+    instruction is (op, arg, x, y): x and y index the children (both the
+    one child of a unary node), arg is the prop index, the agent index of
+    [i], or the slot agent * len(consts) + constant of a constant-indexed
     box.  [i]^c g runs as [i]^c(g, g).  A KvCond raises LanguageError;
-    otherwise the first unknown symbol in preorder raises ValueError.
+    otherwise the first unknown symbol in preorder raises ValueError;
+    either way index is left as it was.
     """
-    agent_at = {a: k for k, a in enumerate(agents)}
-    prop_at = {p: k for k, p in enumerate(props)}
-    const_at = {c: k for k, c in enumerate(consts)}
-    nodes = subterms(f)
-    index = {id(g): k for k, g in enumerate(nodes)}
+    agent_at, prop_at, const_at = symbols
+    new = subterms(f)
+    if index:
+        new = [g for g in new if id(g) not in index]
     prog: list[tuple[int, int, int, int]] = []
     try:
-        for node in nodes:
+        for pos, node in enumerate(new, len(index)):
+            index[id(node)] = pos
             kind = type(node)
             if kind is Neg:
                 x = index[id(node.sub)]
@@ -115,7 +174,7 @@ def _compile(f: Formula, agents, props, consts) -> list:
                 x = index[id(node.sub)]
                 prog.append((_BOX, agent_at[node.agent], x, x))
             elif kind is BBoxU or kind is BBoxB:
-                slot = agent_at[node.agent] * len(consts) + const_at[node.constant]
+                slot = agent_at[node.agent] * len(const_at) + const_at[node.constant]
                 x, y = (node.sub, node.sub) if kind is BBoxU else (node.left, node.right)
                 prog.append((_PAIRS, slot, index[id(x)], index[id(y)]))
             elif kind is Top:
@@ -124,21 +183,23 @@ def _compile(f: Formula, agents, props, consts) -> list:
                 break               # a KvCond
     except KeyError:
         pass                        # an unknown symbol
-    if len(prog) < len(nodes):
-        if any(isinstance(g, KvCond) for g in nodes):
-            raise LanguageError(f"conditional Kv formula needs an FO model: {f}")
-        symbols = (("agent", "agent", agent_at), ("constant", "constant", const_at),
-                   ("prop", "name", prop_at))
+    if len(prog) == len(new):
+        return prog
+    for node in new:
+        index.pop(id(node), None)
+    if any(isinstance(g, KvCond) for g in new):
+        raise LanguageError(f"conditional Kv formula needs an FO model: {f}")
+    kinds = (("agent", "agent", agent_at), ("constant", "constant", const_at),
+             ("prop", "name", prop_at))
 
-        def unknown(g: Formula) -> Optional[ValueError]:
-            for kind, attr, known in symbols:
-                name = getattr(g, attr, None)
-                if name is not None and name not in known:
-                    return ValueError(f"unknown {kind} {name!r}")
-            return None
+    def unknown(g: Formula) -> Optional[ValueError]:
+        for kind, attr, known in kinds:
+            name = getattr(g, attr, None)
+            if name is not None and name not in known:
+                return ValueError(f"unknown {kind} {name!r}")
+        return None
 
-        raise unknown(first_in_preorder(f, unknown))
-    return prog
+    raise unknown(first_in_preorder(f, unknown))
 
 
 def _run(prog, todo, vals, n, prop_masks, succ, pairs) -> None:
@@ -179,43 +240,47 @@ def _run(prog, todo, vals, n, prop_masks, succ, pairs) -> None:
             vals[i] = m
 
 
-def _truth(model: TernaryModel, f: Formula) -> int:
-    """Truth set of f on the whole model, bit k for model.states[k]."""
-    vocab = model.vocab
-    prog = _compile(f, vocab.agents, vocab.props, vocab.constants)
+def _layout(model: TernaryModel, symbols) -> tuple[int, list, list, list]:
+    """(n, prop_masks, succ, pairs) of the model, laid out as _run reads
+    them, with state k as bit k; symbols is _symbols' result for the
+    model's vocabulary."""
+    agent_at, prop_at, const_at = symbols
     n = len(model.states)
     at = {s: k for k, s in enumerate(model.states)}
-    prop_masks = [sum(1 << at[s] for s, props in model.val.items() if p in props)
-                  for p in vocab.props]
-    succ = [0] * (len(vocab.agents) * n)
+    prop_masks = [0] * len(prop_at)
+    for s, props in model.val.items():
+        for p in props:
+            prop_masks[prop_at[p]] |= 1 << at[s]
+    succ = [0] * (len(agent_at) * n)
+    for agent, edges in model.rel.items():
+        base = agent_at[agent] * n
+        for (s, t) in edges:
+            succ[base + at[s]] |= 1 << at[t]
     pairs: list[list[tuple[int, int]]] = [
-        [] for _ in range(len(vocab.agents) * len(vocab.constants) * n)]
-    for ai, agent in enumerate(vocab.agents):
-        for (s, t) in model.rel.get(agent, ()):
-            succ[ai * n + at[s]] |= 1 << at[t]
-        for ci, constant in enumerate(vocab.constants):
-            base = (ai * len(vocab.constants) + ci) * n
-            for (s, t, u) in model.tern.get((agent, constant), ()):
-                pairs[base + at[s]].append((at[t], at[u]))
-    vals = [0] * len(prog)
-    _run(prog, range(len(prog)), vals, n, prop_masks, succ, pairs)
-    return vals[-1]
+        [] for _ in range(len(agent_at) * len(const_at) * n)]
+    for (agent, constant), triples in model.tern.items():
+        base = (agent_at[agent] * len(const_at) + const_at[constant]) * n
+        for (s, t, u) in triples:
+            pairs[base + at[s]].append((at[t], at[u]))
+    return n, prop_masks, succ, pairs
 
 
 # --- countermodel search ----------------------------------------------------
 
-def _pair_tables(n: int) -> dict[int, list[tuple[tuple[int, int], ...]]]:
-    """For every successor set (as a bitmask over n states), the ATEUC-valid
-    SYM pair sets, in the order induced by enumerate-then-discard.
+@functools.cache
+def _pair_tables(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """For every successor set (as a bitmask over n states, the index), the
+    ATEUC-valid SYM pair sets, in the order induced by enumerate-then-discard.
 
     Pairs (t, u) with t <= u over the successor set are listed
     lexicographically; subsets follow ascending bit patterns (bit j is
     pair j).  Filtering a product factor preserves product order, so
     iterating only the survivors visits exactly the models the naive
     enumeration would keep, in the same order.  Each surviving set is
-    listed with both orientations of its pairs.
+    listed with both orientations of its pairs.  Built once per n in each
+    process, and immutable, since every search shares it.
     """
-    tables: dict[int, list[tuple[tuple[int, int], ...]]] = {}
+    tables = []
     for mask in range(1 << n):
         members = [i for i in range(n) if mask >> i & 1]
         pairs = [(t, u) for i, t in enumerate(members) for u in members[i:]]
@@ -234,8 +299,8 @@ def _pair_tables(n: int) -> dict[int, list[tuple[tuple[int, int], ...]]]:
                     break
             if ok:
                 good.append(tuple(sorted(chosen | {(u, t) for (t, u) in chosen})))
-        tables[mask] = good
-    return tables
+        tables.append(tuple(good))
+    return tuple(tables)
 
 
 def _scan_sizes(f: Formula, vocab: Vocabulary):
@@ -327,7 +392,7 @@ def find_countermodel(f: Formula, max_states: int, vocab: Vocabulary,
         if isinstance(node, KvCond):
             raise LanguageError(f"conditional Kv formula not searchable: {f}")
     used = _scan_sizes(f, vocab)
-    prog = _compile(f, *used)
+    prog = _compile(f, _symbols(*used), {})
     spent = 0
     for n in range(1, max_states + 1):
         val_space = 1 << (len(used[1]) * n)

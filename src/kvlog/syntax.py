@@ -17,7 +17,9 @@ tree can be exponentially larger than its graph.  Whole-formula functions
 loop over subterms(f), the distinct subterms by identity, children first,
 and memoize by node id; occurrences and replace_at walk tree paths.  ==
 is structural and expands each pair of subterms once; hash is structural
-and cached on each node.  No formula depth overflows Python's stack.
+and cached on each node; repr runs from a stack and copies are the formula
+itself.  No formula depth overflows Python's stack, except in pickle,
+which still goes through __reduce__ once per level.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ class Vocabulary:
         return None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Formula:
     """Base of the eight node classes; == and hash are structural."""
 
@@ -163,38 +165,61 @@ class Formula:
                 stack += (g, None, g.sub)
         return self._hash
 
+    def __repr__(self) -> str:
+        """The dataclass repr, Neg(sub=Prop(name='p')), built from a stack."""
+        out, stack = [], [self]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, str):
+                out.append(x)
+                continue
+            parts = [f"{type(x).__qualname__}("]
+            for k, fd in enumerate(fields(x)):
+                value = getattr(x, fd.name)
+                parts += (", " if k else "", f"{fd.name}=",
+                          value if isinstance(value, Formula) else repr(value))
+            parts.append(")")
+            stack.extend(reversed(parts))
+        return "".join(out)
+
+    def __copy__(self):               # formulas are immutable
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
     def __reduce__(self):             # drops the cached hash: it is per process
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Prop(Formula):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Neg(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Box(Formula):
     agent: str
     sub: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class KvCond(Formula):
     """Conditional value knowledge: Kv[agent](sub, constant)."""
 
@@ -203,7 +228,7 @@ class KvCond(Formula):
     constant: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class BBoxU(Formula):
     """Unary constant-indexed box [agent]^constant sub."""
 
@@ -212,7 +237,7 @@ class BBoxU(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class BBoxB(Formula):
     """Binary constant-indexed box [agent]^constant(left, right)."""
 

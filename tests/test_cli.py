@@ -152,6 +152,13 @@ class TestRefute:
         assert rc == 1
         assert err == "error: bound exceeded after 2 models\n"
 
+    def test_json_witness_is_the_same_for_one_and_two_workers(self, capsys):
+        outs = [run(capsys, "refute", "--json", "--workers", workers,
+                    "(<a>^c (p | q) -> (<a>^c p | <a>^c q))")
+                for workers in ("1", "2", "1")]
+        assert outs[0][0] == 1 and outs[0] == outs[1] == outs[2]
+        assert json.loads(outs[0][1])["state"] == "s1"
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_budget_count_is_exact_for_every_worker_count(self, capsys, workers):
         rc, _, err = run(

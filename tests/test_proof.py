@@ -296,6 +296,63 @@ class TestTautologyDecision:
         assert split_iff(P) is None
 
 
+# checks and (trial, kind, formula, state) of each falsification, per
+# (system, seed, NONNORM added) over trials 0-39, as recorded before the
+# checks of a trial shared one indexed model
+PINNED_FUZZ = {
+    ("SMLKVr", 0, False): (742, []),
+    ("SMLKVr", 0, True): (817, [
+        (5, "NONNORM", "([a]^d ~(p | q) | (<a>^d p | <a>^d q))", "s4"),
+        (30, "NONNORM", "([a]^d ~(p | q) | (<a>^d p | <a>^d q))", "s3"),
+    ]),
+    ("SMLKVr", 1, False): (735, []),
+    ("SMLKVr", 1, True): (815, [
+        (14, "NONNORM", "([a]^d ~(p | q) | (<a>^d p | <a>^d q))", "s4"),
+        (19, "NONNORM", "([a]^d ~(q | [b]^c [b]F) | (<a>^d q | <a>^d [b]^c [b]F))", "s3"),
+        (21, "NONNORM", "([a]^c ~(p | q) | (<a>^c p | <a>^c q))", "s0"),
+    ]),
+    ("SMLKVr", 2, False): (746, []),
+    ("SMLKVr", 2, True): (812, [
+        (24, "NONNORM", "([b]^c ~(p | q) | (<b>^c p | <b>^c q))", "s0"),
+    ]),
+    ("SMLKVb", 0, False): (892, []),
+    ("SMLKVb", 0, True): (977, [
+        (5, "NONNORM", "([a]^d ~(p | q) | (<a>^d p | <a>^d q))", "s4"),
+        (30, "NONNORM", "([a]^d ~(p | q) | (<a>^d p | <a>^d q))", "s3"),
+    ]),
+    ("SMLKVb", 1, False): (889, []),
+    ("SMLKVb", 1, True): (978, [
+        (14, "NONNORM", "([a]^d ~(p | q) | (<a>^d p | <a>^d q))", "s4"),
+        (21, "NONNORM", "([a]^c ~(p | q) | (<a>^c p | <a>^c q))", "s0"),
+    ]),
+    ("SMLKVb", 2, False): (893, []),
+    ("SMLKVb", 2, True): (976, [
+        (24, "NONNORM", "([b]^c ~(p | q) | (<b>^c p | <b>^c q))", "s0"),
+    ]),
+    ("SMLKV", 0, False): (613, []),
+    ("SMLKV", 0, True): (692, [
+        (5, "NONNORM", "([a]^d ~(p | q) | (<a>^d p | <a>^d q))", "s4"),
+        (30, "NONNORM", "([a]^d ~(p | q) | (<a>^d p | <a>^d q))", "s3"),
+    ]),
+    ("SMLKV", 1, False): (614, []),
+    ("SMLKV", 1, True): (693, [
+        (14, "NONNORM", "([a]^d ~(p | q) | (<a>^d p | <a>^d q))", "s4"),
+        (15, "SUB", "([a]^d ~(~p | q) | (<a>^d ~p | <a>^d q))", "s1"),
+        (17, "NONNORM", "([a]^c ~(<b>^d T | (q & T)) | (<a>^c <b>^d T | <a>^c (q & T)))", "s0"),
+        (17, "SUB", "([a]^c ~(~q | q) | (<a>^c ~q | <a>^c q))", "s0"),
+        (19, "NONNORM", "([a]^d ~([a]^c F | q) | (<a>^d [a]^c F | <a>^d q))", "s3"),
+        (21, "NONNORM", "([a]^c ~(p | q) | (<a>^c p | <a>^c q))", "s0"),
+    ]),
+    ("SMLKV", 2, False): (614, []),
+    ("SMLKV", 2, True): (690, [
+        (1, "SUB", "([b]^c ~([a]^d F | q) | (<b>^c [a]^d F | <b>^c q))", "s0"),
+        (24, "NONNORM", "([b]^c ~(p | q) | (<b>^c p | <b>^c q))", "s0"),
+        (33, "NONNORM", "([a]^c ~(q | <b>^d T) | (<a>^c q | <a>^c <b>^d T))", "s2"),
+    ]),
+}
+NON_NORMALITY = "(<i>^c (p | q) -> (<i>^c p | <i>^c q))"
+
+
 class TestSoundnessFuzz:
     def test_real_systems_survive_fuzzing(self):
         for system in SYSTEMS.values():
@@ -344,3 +401,12 @@ class TestSoundnessFuzz:
             seen.add(fals.formula)
             refuted = parse(fals.formula, fals.params.vocab)
             assert find_countermodel(refuted, 3, fals.params.vocab) is not None, fals.formula
+
+    @pytest.mark.parametrize("key", sorted(PINNED_FUZZ), ids=str)
+    def test_reports_match_the_recorded_ones(self, key):
+        name, seed, nonnorm = key
+        meta = Vocabulary(("i",), ("p", "q"), ("c",))
+        extra = {"NONNORM": parse(NON_NORMALITY, meta)} if nonnorm else None
+        report = soundness_fuzz(SYSTEMS[name], 40, seed, extra_schemas=extra)
+        got = [(f.trial, f.kind, f.formula, f.state) for f in report.falsifications]
+        assert (report.checks, got) == PINNED_FUZZ[key]

@@ -6,9 +6,9 @@ from kvlog.bisim import distinguishing_formula
 from kvlog.models import (GenParams, derive_ternary, generate_direct,
                           generate_value_induced, make_fo, make_ternary,
                           validate_ternary)
-from kvlog.semantics import (BudgetExceededError, counterexample_state,
-                             eval_fo, eval_ternary, find_countermodel,
-                             valid_on)
+from kvlog.semantics import (BudgetExceededError, IndexedModel,
+                             _pair_tables, counterexample_state, eval_fo,
+                             eval_ternary, find_countermodel, valid_on)
 from kvlog.syntax import (And, BBoxB, BBoxU, Box, KvCond, LanguageError, Neg,
                           Prop, Top, Vocabulary, bot, parse, random_formula,
                           translate_T)
@@ -161,6 +161,56 @@ class TestEvalTernary:
                                   "(r & Kv[a](T, c))")
 
 
+class TestIndexedModel:
+    @staticmethod
+    def state(indexed):
+        return (list(indexed.roots), dict(indexed.index), list(indexed.prog),
+                list(indexed.vals))
+
+    def test_formulas_sharing_subterms_agree_with_oracle(self):
+        rng = random.Random(12)
+        for k in range(60):
+            params = GenParams(VOC, 1 + k % 5, rng.choice((0.3, 0.6)), 2,
+                               seed=900 + k)
+            m = (generate_direct(params) if k % 2 else
+                 generate_value_induced(params)[1])
+            indexed = IndexedModel(m)
+            x = random_formula(rng, VOC, 2, "MLKvB")
+            y = random_formula(rng, VOC, 2, "MLKvR")
+            kv = KvCond("a", x, "c")
+            steps = [(x, None), (y, None), (And(x, y), None),
+                     (Box("a", x), None), (BBoxB("a", "c", y, x), None),
+                     (And(x, Prop("r")), (ValueError, "unknown prop 'r'")),
+                     (And(y, kv), (LanguageError, "conditional Kv formula "
+                                   f"needs an FO model: {And(y, kv)}")),
+                     (Neg(And(x, y)), None), (BBoxU("a", "c", Box("a", x)), None),
+                     (x, None)]
+            for f, error in steps:
+                if error is None:
+                    mask = indexed.truth(f)
+                    for i, s in enumerate(m.states):
+                        assert bool(mask >> i & 1) == oracle_eval(m, s, f)
+                    continue
+                before = self.state(indexed)
+                with pytest.raises(error[0]) as exc:
+                    indexed.truth(f)
+                assert str(exc.value) == error[1]
+                assert self.state(indexed) == before
+
+    def test_program_grows_only_by_new_subterms(self):
+        indexed = IndexedModel(non_normality_witness())
+        x = parse("([a]^c(p, q) & <a>p)", VOC)
+        indexed.truth(x)
+        size = len(indexed.prog)
+        indexed.truth(x)
+        indexed.truth(x.left)
+        assert len(indexed.prog) == size
+        indexed.truth(And(x, Neg(x)))
+        assert len(indexed.prog) == size + 2
+        indexed.truth(parse("([a]^c(p, q) & <a>p)", VOC))   # equal, not shared
+        assert len(indexed.prog) == 2 * size + 2
+
+
 class TestValidOn:
     def test_symmetry_axiom_instance_is_valid(self, left_model):
         f = parse("([a]^c(p, q) -> [a]^c(q, p))", VOC)
@@ -205,6 +255,12 @@ class TestFindCountermodel:
         one = find_countermodel(f, 3, VOC, workers=1)
         two = find_countermodel(f, 3, VOC, workers=2)
         assert one == two
+
+    def test_pair_tables_are_built_once_per_state_count(self):
+        assert find_countermodel(parse("(p | ~p)", VOC), 3, VOC) is None
+        assert _pair_tables(3) is _pair_tables(3)
+        assert isinstance(_pair_tables(3), tuple)
+        assert all(isinstance(row, tuple) for row in _pair_tables(3))
 
     def test_budget_guard(self):
         f = parse("([a]^c(p, q) -> [a]^c(q, p))", VOC)

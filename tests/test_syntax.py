@@ -1,3 +1,4 @@
+import copy
 import os
 import pathlib
 import pickle
@@ -304,6 +305,26 @@ class TestStructuralEquality:
             assert oracle_equal(f, copy) and not oracle_equal(f, changed)
         kept = set(fs)
         assert all(parse(print_formula(f), VOC) in kept for f in fs)
+
+    def test_deep_chains_repr_and_copy_without_recursion(self):
+        f = self.negations(P, 100_000)
+        results = []
+        for fn in (repr, copy.copy, copy.deepcopy):
+            try:
+                results.append(fn(f))
+            except RecursionError:    # kept out of the report: pytest
+                results.append(None)  # compares every frame's locals
+        assert results[0] == "Neg(sub=" * 100_000 + "Prop(name='p')" + ")" * 100_000
+        assert results[1] is f and results[2] is f
+        assert copy.deepcopy({"k": [f]})["k"][0] is f
+
+    def test_repr_is_the_dataclass_repr(self):
+        f = BBoxB("a", "c", Neg(Top()), And(Box("b", P), KvCond("a", Q, "d")))
+        assert repr(f) == ("BBoxB(agent='a', constant='c', left=Neg(sub=Top()), "
+                           "right=And(left=Box(agent='b', sub=Prop(name='p')), "
+                           "right=KvCond(agent='a', sub=Prop(name='q'), "
+                           "constant='d')))")
+        assert repr(BBoxU("a", "c", P)) == "BBoxU(agent='a', constant='c', sub=Prop(name='p'))"
 
     def test_a_pickled_formula_is_found_in_another_process(self):
         f = random_formula(random.Random(11), VOC, 4, "MLKvB")
