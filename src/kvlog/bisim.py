@@ -11,8 +11,11 @@ pair (s1, s2) in Z satisfies
 greatest_bisim computes the largest such Z by deleting failing pairs
 from the valuation-respecting start relation.  The deletion trace is
 enough to rebuild, for every non-bisimilar pair, a formula true on the
-left and false on the right; distinguishing_formula replays it and
-checks the result by evaluation before returning it.
+left and false on the right; distinguishing_formula replays it without
+recursion (Cleaveland, CAV 1990): a stack collects the pairs the formula
+needs, and their formulas are built in ascending deletion round, since a
+deletion reason cites only pairs that fail Inv or left earlier.  The
+result is checked by evaluation before it is returned.
 
 greatest_bisim (first failure per pair) and check_bisimulation (every
 failure) draw the successor clauses from one generator.
@@ -156,15 +159,6 @@ def greatest_bisim(m1: TernaryModel, m2: TernaryModel) -> BisimResult:
     return BisimResult(pairs=frozenset(alive), deleted=deleted, rounds=rounds)
 
 
-def _literal_for(m1, s1, m2, s2, vocab) -> Formula:
-    for p in vocab.props:
-        if p in m1.val[s1] and p not in m2.val[s2]:
-            return Prop(p)
-        if p in m2.val[s2] and p not in m1.val[s1]:
-            return Neg(Prop(p))
-    raise AssertionError(f"({s1}, {s2}) agree on all props")
-
-
 def distinguishing_formula(m1: TernaryModel, s1: str,
                            m2: TernaryModel, s2: str) -> Optional[Formula]:
     """A formula true at s1 and false at s2, or None if the pair is
@@ -175,53 +169,55 @@ def distinguishing_formula(m1: TernaryModel, s1: str,
     if (s1, s2) in result.pairs:
         return None
     (succ1, _), (succ2, _) = _index(m1), _index(m2)
-    vocab = m1.vocab
-    memo: dict[tuple[str, str], Formula] = {}
+    deleted = result.deleted
 
-    def in_z_at(pair, rnd) -> bool:
-        # pair alive at the start of round rnd
-        if pair in result.pairs:
-            return True
-        if pair not in result.deleted:
-            return False          # failed Inv, never present
-        return result.deleted[pair][0] >= rnd
+    def out_at(pair, rnd) -> bool:
+        # pair out of the relation at the start of round rnd
+        return pair not in result.pairs and deleted.get(pair, (-1,))[0] < rnd
 
-    def dist(t1: str, t2: str) -> Formula:
-        got = memo.get((t1, t2))
-        if got is not None:
-            return got
-        if m1.val[t1] != m2.val[t2]:
-            out = _literal_for(m1, t1, m2, t2, vocab)
-            memo[(t1, t2)] = out
-            return out
-        rnd, reason = result.deleted[(t1, t2)]
+    # collect the needed pairs: one failing Inv gets its literal at once,
+    # a deleted one the pairs its reason cites, a group per argument
+    built: dict[tuple[str, str], Formula] = {}
+    cites: dict[tuple[str, str], list] = {}
+    stack = [(s1, s2)]
+    while stack:
+        pair = stack.pop()
+        if pair in built or pair in cites:
+            continue
+        t1, t2 = pair
+        if pair not in deleted:
+            v1, v2 = m1.val[t1], m2.val[t2]
+            prop = next(p for p in m1.vocab.props if (p in v1) != (p in v2))
+            built[pair] = Prop(prop) if prop in v1 else Neg(Prop(prop))
+            continue
+        rnd, reason = deleted[pair]
         kind = reason[0]
         if kind == "Zig":
-            _, agent, w1 = reason
-            conj = dict.fromkeys(dist(w1, w2) for w2 in succ2[agent].get(t2, ()))
-            out = dia(agent, big_and(conj))
+            groups = [[(reason[2], w2) for w2 in succ2[reason[1]].get(t2, ())]]
         elif kind == "Zag":
-            _, agent, w2 = reason
-            conj = dict.fromkeys(Neg(dist(w1, w2)) for w1 in succ1[agent].get(t1, ()))
-            out = Neg(dia(agent, big_and(conj)))
+            groups = [[(w1, reason[2]) for w1 in succ1[reason[1]].get(t1, ())]]
         elif kind == "KvbZig":
-            _, agent, constant, w1, x1 = reason
-            left = dict.fromkeys(dist(w1, w2) for w2 in m2.states
-                                  if not in_z_at((w1, w2), rnd))
-            right = dict.fromkeys(dist(x1, x2) for x2 in m2.states
-                                   if not in_z_at((x1, x2), rnd))
-            out = dia_b(agent, constant, big_and(left), big_and(right))
+            groups = [[(w1, w2) for w2 in m2.states if out_at((w1, w2), rnd)]
+                      for w1 in reason[3:]]
         else:
-            _, agent, constant, w2, x2 = reason
-            left = dict.fromkeys(Neg(dist(w1, w2)) for w1 in m1.states
-                                  if not in_z_at((w1, w2), rnd))
-            right = dict.fromkeys(Neg(dist(x1, x2)) for x1 in m1.states
-                                   if not in_z_at((x1, x2), rnd))
-            out = Neg(dia_b(agent, constant, big_and(left), big_and(right)))
-        memo[(t1, t2)] = out
-        return out
+            groups = [[(w1, w2) for w1 in m1.states if out_at((w1, w2), rnd)]
+                      for w2 in reason[3:]]
+        cites[pair] = groups
+        stack.extend(c for group in groups for c in group)
 
-    formula = dist(s1, s2)
+    # a cited pair fails Inv or left in an earlier round, so in ascending
+    # round every cited formula is built before it is needed
+    for pair in sorted(cites, key=lambda p: deleted[p][0]):
+        reason = deleted[pair][1]
+        zig = reason[0].endswith("Zig")
+        args = [big_and(dict.fromkeys(built[c] if zig else Neg(built[c])
+                                      for c in group))
+                for group in cites[pair]]
+        shape = (dia(reason[1], *args) if len(args) == 1
+                 else dia_b(reason[1], reason[2], *args))
+        built[pair] = shape if zig else Neg(shape)
+
+    formula = built[(s1, s2)]
     if not eval_ternary(m1, s1, formula) or eval_ternary(m2, s2, formula):
         raise AssertionError("replayed distinguishing formula failed evaluation")
     return formula

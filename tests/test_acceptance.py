@@ -153,6 +153,24 @@ def test_criterion_4():
     assert time.monotonic() - start < 60.0
 
 
+def test_conversion_is_bisimilar_up_to_its_depth():
+    """to_fo(M, s, d) at its root is d-bisimilar to M at s (Blackburn, de
+    Rijke & Venema, Modal Logic, 2001): the pair survives the first d
+    refinement rounds, and every formula telling them apart is deeper
+    than d (criterion 4's conversions, at d = 0, 1, 2)."""
+    for trial, model, _, root in criterion_4_cases():
+        for d in range(3):
+            fo, fo_root = to_fo(model, root, d)
+            tree = derive_ternary(fo)
+            result = greatest_bisim(model, tree)
+            pair = (root, fo_root)
+            assert pair in result.pairs or (
+                pair in result.deleted and result.deleted[pair][0] >= d
+            ), (trial, d)
+            witness = distinguishing_formula(model, root, tree, fo_root)
+            assert witness is None or modal_depth(witness) > d, (trial, d)
+
+
 def test_criterion_5():
     """Frame validator agrees with the naive oracle on all 3-state structures."""
     start = time.monotonic()

@@ -1,18 +1,22 @@
+import json
 import random
+import sys
 
 import pytest
 
 from kvlog.bisim import (check_bisimulation, check_fo_bisimulation,
                          distinguishing_formula, greatest_bisim)
+from kvlog.cli import main
 from kvlog.models import (GenParams, derive_ternary, generate_direct,
                           generate_value_induced, make_ternary,
-                          validate_ternary)
+                          model_to_json, validate_ternary)
 from kvlog.semantics import eval_ternary
 from kvlog.syntax import (Neg, Prop, Top, Vocabulary, dia, language_of,
-                          random_formula)
+                          print_formula, random_formula)
 
 VOC = Vocabulary(("a",), ("p", "q"), ("c",))
 VOC1 = Vocabulary(("a",), ("p",), ("c",))
+CRITERION_VOC = Vocabulary(("a", "b"), ("p", "q"), ("c", "d"))
 
 
 def identity_pairs(model):
@@ -26,6 +30,39 @@ def model_pair(seed, max_states=4):
     m2 = generate_direct(GenParams(VOC, 1 + rng.randrange(max_states),
                                    rng.random(), 2, seed=seed * 2 + 2))
     return m1, m2
+
+
+def chain(n, prefix):
+    """n states in a row: each has the next as its only successor and
+    relates only (next, next); no proposition holds anywhere."""
+    states = tuple(f"{prefix}{i}" for i in range(n))
+    steps = set(zip(states, states[1:]))
+    return make_ternary(VOC1, states, {"a": steps},
+                        {("a", "c"): {(s, t, t) for s, t in steps}}, {})
+
+
+def criterion_8_pair(trial):
+    """The two models criterion 8 draws for a trial."""
+    rng = random.Random(trial)
+    m1 = generate_direct(GenParams(CRITERION_VOC, 1 + trial % 4, rng.random(),
+                                   2, seed=2 * trial))
+    m2 = generate_direct(GenParams(CRITERION_VOC, 1 + (trial // 4) % 4,
+                                   rng.random(), 2, seed=2 * trial + 1))
+    return m1, m2
+
+
+def under_recursion_limit(limit, run):
+    """run() with the recursion limit lowered to limit.  A RecursionError
+    is returned as the class, not raised: pytest's report of a deep one
+    does not finish."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        return run()
+    except RecursionError:
+        return RecursionError
+    finally:
+        sys.setrecursionlimit(old)
 
 
 class TestCheckBisimulation:
@@ -122,6 +159,69 @@ class TestDistinguishingFormula:
         m1 = make_ternary(VOC1, ("s",), {}, {}, {})
         m2 = make_ternary(VOC1, ("x",), {}, {}, {})
         assert distinguishing_formula(m1, "s", m2, "x") is None
+
+
+class TestDistinguishingFormulaText:
+    # pinned text: a change here is a change of `kvlog bisim` output
+    CRITERION_8 = {
+        (0, "s0", "s0"): "p",
+        (3, "s0", "s0"): "~q",
+        (13, "s0", "s1"): "<a>(~p & ~q)",
+        (30, "s0", "s2"): "<a>^c(~p, ~p)",
+        (31, "s3", "s3"): "~<b>T",
+        (44, "s0", "s1"): "~<a>^c(T, T)",
+        (46, "s0", "s1"): "~<a>(~~q & ~~p)",
+        (47, "s2", "s2"): "~<a>(~q & ~~p)",
+        (63, "s3", "s0"): "<a>^d((~q & p), (~q & p))",
+        (69, "s1", "s0"): "<a>^c(~q, ~q)",
+        (79, "s0", "s0"): "~<a>^c(~~p, ~~p)",
+        (79, "s3", "s2"): "~<a>^c((~p & ~q), (~p & ~q))",
+        (126, "s1", "s1"): "~<a>^c(~q, ~q)",
+        (134, "s2", "s0"): "~<a>^d((~~p & ~~q), (~~p & ~~q))",
+        (140, "s0", "s0"): "<a>^c((~q & ~p), (~q & ~p))",
+        (143, "s3", "s0"): "~<a>^d((~p & ~q), (~p & ~q))",
+        (155, "s2", "s1"): "<a>^d((~p & q), (~p & q))",
+        (167, "s0", "s1"): "<b>^d(T, T)",
+        (183, "s3", "s1"): "~<a>^c((~q & ~p), (~q & ~p))",
+        (191, "s2", "s1"): "~<a>(~~p & ~q)",
+        (283, "s0", "s2"): "<a>^d((~q & ~p), (~q & ~p))",
+    }
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_chain_pair_text(self, n):
+        f = distinguishing_formula(chain(n, "x"), "x0", chain(n + 1, "y"), "y0")
+        assert print_formula(f) == "<a>" * (n - 1) + "~<a>T"
+
+    def test_criterion_8_text(self):
+        got = {}
+        for (trial, s1, s2) in self.CRITERION_8:
+            m1, m2 = criterion_8_pair(trial)
+            got[(trial, s1, s2)] = print_formula(
+                distinguishing_formula(m1, s1, m2, s2))
+        assert got == self.CRITERION_8
+
+
+class TestDeepReplay:
+    LIMIT = 200
+
+    def test_library_replay_needs_no_recursion(self):
+        m1, m2 = chain(80, "x"), chain(81, "y")
+        f = under_recursion_limit(
+            self.LIMIT, lambda: distinguishing_formula(m1, "x0", m2, "y0"))
+        assert f is not RecursionError, f"RecursionError at limit {self.LIMIT}"
+        assert eval_ternary(m1, "x0", f) and not eval_ternary(m2, "y0", f)
+
+    def test_cli_replay_needs_no_recursion(self, tmp_path, capsys):
+        argv = ["bisim"]
+        for n, prefix in ((80, "x"), (81, "y")):
+            path = tmp_path / f"{prefix}.json"
+            path.write_text(json.dumps(model_to_json(chain(n, prefix))))
+            argv += [str(path), f"{prefix}0"]
+        rc = under_recursion_limit(self.LIMIT, lambda: main(argv))
+        assert rc is not RecursionError, f"RecursionError at limit {self.LIMIT}"
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert out.startswith("not bisimilar; true at x0, false at y0:\n")
 
 
 class TestCheckFoBisimulation:
