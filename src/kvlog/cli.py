@@ -15,6 +15,7 @@ stdout; --json swaps them for one machine-readable object.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -261,7 +262,13 @@ def _int_at_least(low: int):
     return integer
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call and shared after it.
+
+    Parsing leaves the tree unchanged, and argparse looks up stdout and
+    stderr when it prints, so one tree serves every call of `main`.
+    """
     top = argparse.ArgumentParser(
         prog="kvlog",
         description="reasoning tools for knowing-value modal logics")

@@ -394,7 +394,10 @@ def json_to_model(data: dict) -> tuple[Union[TernaryModel, FOKripkeModel], list[
 
 def load_model(path: str) -> tuple[Union[TernaryModel, FOKripkeModel], list[str]]:
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to decode") from None
     return json_to_model(data)
 
 

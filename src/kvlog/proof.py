@@ -301,27 +301,34 @@ def _parse_justification(num: int, formula: Formula, by: str,
     agent = constant = None
     side = None
     positions: list[Path] = []
+    keys: set[str] = set()
     for pos, arg in enumerate(args):
         if "=" in arg and not arg.startswith("("):
             key, _, value = arg.partition("=")
             key, value = key.strip(), value.strip()
-            if rule != "SUB" and key == "i":
-                agent = value
-            elif rule != "SUB" and key == "c":
-                constant = value
-            elif key == "side":
-                side = parse(value, vocab)
-            elif key == "at":
+            if key == "at":
                 try:
                     positions.append(str_to_path(value))
                 except ValueError as exc:
                     raise ScriptError(str(exc), lineno) from None
+                continue
+            if key in keys:
+                raise ScriptError(f"{key}= is given twice", lineno)
+            keys.add(key)
+            if rule != "SUB" and key == "i":
+                agent = value
+            elif rule != "SUB" and key == "c":
+                constant = value
             else:
                 try:
-                    sigma[key] = parse(value, vocab)
+                    parsed = parse(value, vocab)
                 except Exception as exc:
                     raise ScriptError(f"bad value for {key}: {exc}",
                                       lineno) from None
+                if key == "side":
+                    side = parsed
+                else:
+                    sigma[key] = parsed
         elif arg.isdigit():
             refs.append(int(arg))
         elif pos == 0 and rule == "AX":

@@ -70,8 +70,16 @@ def unravel(model: TernaryModel, root: str, depth: int) -> TernaryModel:
     states form a triple in the source.  Each level is counted from the
     one before it, and ValueError is raised before a level that would
     take the tree past MAX_TREE_STATES states is built.
+
+    The input's frame conditions are checked here, before anything is
+    built; an invalid input raises ValueError naming its violations.
     """
     _require_valid(model)
+    return _unravel_valid(model, root, depth)
+
+
+def _unravel_valid(model: TernaryModel, root: str, depth: int) -> TernaryModel:
+    """unravel without the frame-condition check: `model` must be valid."""
     if root not in model.states:
         raise ValueError(f"unknown root {root!r}")
     if depth < 0:
@@ -211,7 +219,13 @@ def assign_values(model: TernaryModel) -> tuple[FOKripkeModel, str]:
 
 
 def to_fo(model: TernaryModel, state: str, depth: int) -> tuple[FOKripkeModel, str]:
-    """split, unravel at the 0-copy of `state`, then assign values."""
+    """split, unravel at the 0-copy of `state`, then assign values.
+
+    The frame conditions are checked once, by split, on the input, so an
+    invalid input raises split's ValueError, naming the input's states.
+    The doubled model is not checked again: split of a valid model is
+    valid, as SYM, INCL and ATEUC each carry over copy by copy.
+    """
     doubled = split(model)
-    tree = unravel(doubled, f"{state}.{TAGS[0]}", depth)
+    tree = _unravel_valid(doubled, f"{state}.{TAGS[0]}", depth)
     return assign_values(tree)

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from kvlog.cli import main
+from kvlog.cli import build_parser, main
 from kvlog.models import derive_ternary, load_model
 from kvlog.proof import SMLKVR, soundness_fuzz
 
@@ -358,9 +358,42 @@ class TestProve:
         assert rc == 2
         assert err == "error: line 1: unreadable line 'garbage'\n"
 
+    @pytest.mark.parametrize("justification, key", [
+        ("NECKVB(1, i=a, c=c, side=r &)", "side"),
+        ("AX(DISTK, i=a, p=p &, q=q)", "p"),
+    ])
+    def test_bad_formula_values_name_their_line_and_key(
+            self, capsys, tmp_path, justification, key):
+        script = tmp_path / "bad.kvp"
+        script.write_text(f"1. (p | ~p) BY TAUT\n2. p BY {justification}\n")
+        rc, out, err = run(capsys, "prove", "SMLKVb", str(script))
+        assert (rc, out) == (2, "")
+        assert err == (f"error: line 2: bad value for {key}: "
+                       "unexpected '' (at column 4)\n")
+
+    def test_repeated_key_is_a_usage_error(self, capsys, tmp_path):
+        script = tmp_path / "twice.kvp"
+        script.write_text("1. (p | ~p) BY TAUT\n2. [b](p | ~p) BY NECK(1, i=a, i=b)\n")
+        rc, out, err = run(capsys, "prove", "SMLKVr", str(script))
+        assert (rc, out) == (2, "")
+        assert err == "error: line 2: i= is given twice\n"
+
 
 class TestDeepInputs:
     OPERANDS = 3000
+
+    @pytest.mark.parametrize("command, args", [
+        ("validate", []), ("check", ["s", "p"]),
+        ("convert", ["--to", "fo", "--root", "s"]), ("bisim", ["s", "{}", "s"]),
+    ])
+    def test_deeply_nested_json_is_a_usage_error(self, capsys, tmp_path,
+                                                 command, args):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        argv = [str(path)] + [a.format(path) for a in args]
+        rc, out, err = run(capsys, command, *argv)
+        assert (rc, out) == (2, "")
+        assert err == f"error: {path}: JSON nested too deeply to decode\n"
 
     @pytest.mark.parametrize("op", ["&", "|", "->", "<->"])
     def test_long_chains_run_through_every_formula_command(
@@ -537,6 +570,34 @@ class TestGen:
     def test_invalid_sizes_are_usage_errors(self, capsys):
         rc, _, err = run(capsys, "gen", "--states", "0")
         assert rc == 2 and err.startswith("error: ")
+
+
+class TestParserReuse:
+    """main builds the argparse tree on its first call and keeps it."""
+
+    @staticmethod
+    def calls(proofs_dir):
+        script = str(proofs_dir / "axiom_to_nec.kvp")
+        return [["prove", "SMLKVr"], ["prove", "--json", "SMLKVr", script],
+                ["prove", "SMLKVr", script], ["refute", "--max-states", "1", "p"]]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        return rc, capsys.readouterr().out
+
+    def test_later_calls_match_first_calls(self, capsys, proofs_dir):
+        first = []
+        for argv in self.calls(proofs_dir):
+            build_parser.cache_clear()
+            first.append(self.outcome(capsys, argv))
+        assert [rc for rc, _ in first] == [2, 0, 0, 1]
+        build_parser.cache_clear()
+        again = [self.outcome(capsys, argv) for argv in self.calls(proofs_dir)]
+        assert again == first
 
 
 class TestArgparseContract:

@@ -131,6 +131,29 @@ class TestScriptParsing:
         res = check_derivation(SMLKVR, parse_script("1. p BY WAT"))
         assert (res.ok, res.step, res.reason) == (False, 1, "SMLKVr has no rule WAT")
 
+    @pytest.mark.parametrize("justification, key", [
+        ("NECK(1, i=a, i=b)", "i"),
+        ("NECKVR(1, i=a, c=c, c=d)", "c"),
+        ("NECKVB(1, i=a, c=c, side=p, side=q)", "side"),
+        ("AX(DISTK, i=a, p=p, q=q, p=q)", "p"),
+        ("SUB(1, p=q, p=r)", "p"),
+    ])
+    def test_repeated_keys_are_script_errors(self, justification, key):
+        with pytest.raises(ScriptError) as exc:
+            parse_script(f"1. (p | ~p) BY TAUT\n2. p BY {justification}")
+        assert str(exc.value) == f"line 2: {key}= is given twice"
+
+    def test_replacement_positions_may_repeat(self):
+        step = parse_script("1. p BY RE(1, at=0, at=1)").steps[0]
+        assert step.positions == ((0,), (1,))
+
+    def test_no_shipped_script_repeats_a_key(self, proofs_dir):
+        paths = sorted(proofs_dir.glob("*.kvp")) + sorted(
+            proofs_dir.glob("negative/*.kvp"))
+        assert len(paths) == 15
+        for path in paths:
+            parse_script(path.read_text(encoding="utf-8"))
+
     def test_references_must_point_at_earlier_steps(self):
         for line in ("1. p BY MP(0,1)", "1. p BY MP(1,1)"):
             res = check_derivation(SMLKVR, parse_script(line))

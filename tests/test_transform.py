@@ -9,6 +9,8 @@ from kvlog.syntax import (Vocabulary, modal_depth, parse, random_formula,
                           translate_T)
 from kvlog.transform import assign_values, split, to_fo, unravel
 
+from test_acceptance import criterion_4_cases
+
 VOC = Vocabulary(("a",), ("p", "q"), ("c",))
 VOC1 = Vocabulary(("a",), ("p",), ("c",))
 
@@ -68,6 +70,11 @@ class TestSplit:
                            {("a", "c"): {("s", "t", "t")}}, {})
         with pytest.raises(Exception):
             split(bad)
+
+    def test_split_of_a_valid_model_is_valid(self):
+        # to_fo relies on this to skip checking the doubled model
+        for trial, model, _, _ in criterion_4_cases():
+            assert validate_ternary(split(model)) == [], trial
 
 
 class TestUnravel:
@@ -226,6 +233,17 @@ class TestAssignValues:
 
 
 class TestToFo:
+    def test_invalid_input_raises_splits_message(self):
+        bad = make_ternary(VOC, ("s", "t"), {},
+                           {("a", "c"): {("s", "t", "t")}}, {})
+        with pytest.raises(ValueError) as by_split:
+            split(bad)
+        with pytest.raises(ValueError) as by_to_fo:
+            to_fo(bad, "s", 2)
+        assert str(by_to_fo.value) == str(by_split.value) == (
+            "input model breaks frame conditions: "
+            "INCL fails for agent a, constant c at (s, t, t)")
+
     def test_shipped_model_refutes_kv_at_root(self, left_model):
         fo, root = to_fo(left_model, "s", 2)
         f = parse("Kv[a]((p | q), c)", VOC)
