@@ -59,7 +59,8 @@ def split(model: TernaryModel) -> TernaryModel:
     return make_ternary(model.vocab, states, rel, tern, val)
 
 
-def unravel(model: TernaryModel, root: str, depth: int) -> TernaryModel:
+def unravel(model: TernaryModel, root: str, depth: int, *,
+            check: bool = True) -> TernaryModel:
     """Tree of paths from root with at most `depth` hops.
 
     Each path is a state named root/agent:state/agent:state/..., with a
@@ -73,13 +74,10 @@ def unravel(model: TernaryModel, root: str, depth: int) -> TernaryModel:
 
     The input's frame conditions are checked here, before anything is
     built; an invalid input raises ValueError naming its violations.
+    check=False skips that check, for a caller that knows `model` is valid.
     """
-    _require_valid(model)
-    return _unravel_valid(model, root, depth)
-
-
-def _unravel_valid(model: TernaryModel, root: str, depth: int) -> TernaryModel:
-    """unravel without the frame-condition check: `model` must be valid."""
+    if check:
+        _require_valid(model)
     if root not in model.states:
         raise ValueError(f"unknown root {root!r}")
     if depth < 0:
@@ -227,5 +225,5 @@ def to_fo(model: TernaryModel, state: str, depth: int) -> tuple[FOKripkeModel, s
     valid, as SYM, INCL and ATEUC each carry over copy by copy.
     """
     doubled = split(model)
-    tree = _unravel_valid(doubled, f"{state}.{TAGS[0]}", depth)
+    tree = unravel(doubled, f"{state}.{TAGS[0]}", depth, check=False)
     return assign_values(tree)

@@ -147,13 +147,6 @@ class TestScriptParsing:
         step = parse_script("1. p BY RE(1, at=0, at=1)").steps[0]
         assert step.positions == ((0,), (1,))
 
-    def test_no_shipped_script_repeats_a_key(self, proofs_dir):
-        paths = sorted(proofs_dir.glob("*.kvp")) + sorted(
-            proofs_dir.glob("negative/*.kvp"))
-        assert len(paths) == 15
-        for path in paths:
-            parse_script(path.read_text(encoding="utf-8"))
-
     def test_references_must_point_at_earlier_steps(self):
         for line in ("1. p BY MP(0,1)", "1. p BY MP(1,1)"):
             res = check_derivation(SMLKVR, parse_script(line))
