@@ -163,8 +163,10 @@ def distinguishing_formula(m1: TernaryModel, s1: str,
                            m2: TernaryModel, s2: str) -> Optional[Formula]:
     """A formula true at s1 and false at s2, or None if the pair is
     bisimilar.  The replay result is verified by evaluation."""
-    if s1 not in m1.states or s2 not in m2.states:
-        raise ValueError(f"unknown states ({s1!r}, {s2!r})")
+    unknown = [f"{s!r} in the {which} model" for s, m, which
+               in ((s1, m1, "first"), (s2, m2, "second")) if s not in m.states]
+    if unknown:
+        raise ValueError(f"unknown state {' and '.join(unknown)}")
     result = greatest_bisim(m1, m2)
     if (s1, s2) in result.pairs:
         return None

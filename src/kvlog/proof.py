@@ -23,6 +23,7 @@ modal-subformula skeleton by truth table (at most 12 distinct atoms).
 
 from __future__ import annotations
 
+import functools
 import random
 import re as _re
 from dataclasses import dataclass, field
@@ -80,8 +81,11 @@ SMLKV = ProofSystem("SMLKV", ("TAUT", "DISTK", "INCLT"),
 SYSTEMS = {"SMLKVr": SMLKVR, "SMLKVb": SMLKVB, "SMLKV": SMLKV}
 
 
-def _rename_slots(f: Formula, agent: str, constant: str) -> Formula:
-    """Replace the template slots i and c by concrete symbols."""
+@functools.lru_cache(maxsize=256)
+def _slotted(template: Formula, agent: str,
+             constant: str) -> tuple[Formula, tuple[str, ...]]:
+    """The template with its slots i and c replaced by concrete symbols,
+    and its metavariables; built once per key, since schemas are constants."""
     def step(g: Formula, subs: tuple) -> Formula:
         if not isinstance(g, (Box, BBoxU, BBoxB)):
             return rebuild(g, subs)
@@ -90,7 +94,7 @@ def _rename_slots(f: Formula, agent: str, constant: str) -> Formula:
             return Box(a, *subs)
         return type(g)(a, constant if g.constant == "c" else g.constant, *subs)
 
-    return fold(f, step)
+    return fold(template, step), schema_metavars(template)
 
 
 def axiom_instance(system: ProofSystem, schema: str,
@@ -100,14 +104,13 @@ def axiom_instance(system: ProofSystem, schema: str,
     exactly."""
     if schema not in system.schemas or schema == "TAUT":
         raise ValueError(f"{system.name} has no schema {schema}")
-    needed = set(schema_metavars(SCHEMAS[schema]))
-    given = set(sigma)
+    template, metavars = _slotted(SCHEMAS[schema], agent, constant)
+    needed, given = set(metavars), set(sigma)
     if given != needed:
         missing = ", ".join(sorted(needed - given)) or "none"
         extra = ", ".join(sorted(given - needed)) or "none"
         raise ValueError(f"schema {schema} wants metavariables "
                          f"{sorted(needed)}; missing {missing}, extra {extra}")
-    template = _rename_slots(SCHEMAS[schema], agent, constant)
     return substitute(template, sigma)
 
 
@@ -133,6 +136,14 @@ def propositional_skeleton(f: Formula) -> tuple[list[Formula], list]:
     return list(index), [(g, atom[id(g)]) for g in subterms(f) if id(g) in atom]
 
 
+def _truth_table(n: int) -> tuple[int, list[int]]:
+    """full, all 2^n rows set, and each atom j's column: bit k is bit j of k.
+    full // (2^2^(j+1) - 1) marks each run of 2^(j+1) rows; times its top half."""
+    full = (1 << (1 << n)) - 1
+    return full, [full // ((1 << (2 << j)) - 1) * (((1 << (1 << j)) - 1) << (1 << j))
+                  for j in range(n)]
+
+
 def is_tautology(f: Formula) -> tuple[bool, str]:
     atoms, skeleton = propositional_skeleton(f)
     if len(atoms) > TAUT_ATOM_LIMIT:
@@ -140,10 +151,7 @@ def is_tautology(f: Formula) -> tuple[bool, str]:
                        f"limit is {TAUT_ATOM_LIMIT}; decompose the step")
     # truth sets over all assignments at once: bit k of a mask is the value
     # under assignment k, which makes atom j true when its bit j is set
-    rows = 1 << len(atoms)
-    full = (1 << rows) - 1
-    column = [sum(1 << k for k in range(rows) if k >> j & 1)
-              for j in range(len(atoms))]
+    full, column = _truth_table(len(atoms))
     truth: dict[int, int] = {}
     for g, atom in skeleton:
         if atom is not None:
@@ -525,6 +533,7 @@ def soundness_fuzz(system: ProofSystem, trials: int, seed: int,
     start offsets without changing what gets tested.  A trial's checks
     all run on one semantics.IndexedModel of its model, so the layout is
     built once and subterms shared between checks are evaluated once.
+    Each schema's slots are renamed once per agent and constant (_slotted).
     """
     report = FuzzReport(system=system.name, trials=trials)
     lang = system.language
@@ -558,8 +567,7 @@ def soundness_fuzz(system: ProofSystem, trials: int, seed: int,
 
         instances = []
         for name, template in sorted(pool.items()):
-            metavars = schema_metavars(template)
-            renamed = _rename_slots(template, agent, constant)
+            renamed, metavars = _slotted(template, agent, constant)
             # a plain-prop instance plus a random one; the former is the
             # strongest single probe on small models
             atomic = {v: Prop(vocab.props[k % len(vocab.props)])

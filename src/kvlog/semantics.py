@@ -14,15 +14,16 @@ eval_ternary interprets box formulas over ternary models:
               (each listed pair in its listed orientation; SYM lists both)
 
 All three are normal boxes, so one evaluator covers them: _compile turns
-a formula into a program with one instruction per distinct subterm, by a
-flat loop over syntax.subterms (children first, shared by identity), and
-_run computes each instruction's truth set on the whole model at once, as
-a bitmask over the states.  It reads the model through _layout: state
-positions, prop masks, successor bitmasks and the related pairs per
-(agent, constant, state).  IndexedModel holds one model's layout and one
-program that grows by the subterms of each new formula, so the formulas
-a caller evaluates on one model share the layout and every subterm they
-share by identity (soundness_fuzz keeps one per trial).  eval_ternary and
+a formula into a program with one instruction per distinct subterm
+(children first, shared by identity) by one explicit-stack walk that
+never enters a subterm already compiled, and _run computes each
+instruction's truth set on the whole model at once, as a bitmask over
+the states.  It reads the model through _layout: state positions, prop
+masks, successor bitmasks and the related pairs per (agent, constant,
+state).  IndexedModel holds one model's layout and one program that
+grows by the subterms of each new formula, so the formulas a caller
+evaluates on one model share the layout and every subterm they share by
+identity (soundness_fuzz keeps one per trial).  eval_ternary and
 counterexample_state are one-formula uses of it: the first tests one bit
 of the root's mask, the second takes its lowest zero bit.
 
@@ -139,9 +140,9 @@ def _symbols(agents, props, consts) -> tuple[dict, dict, dict]:
 
 
 def _compile(f: Formula, symbols, index: dict) -> list:
-    """Instructions for the distinct subterms of f not in index, children
-    first (syntax.subterms: shared by identity; equal subterms that are
-    distinct objects get one instruction each).
+    """Instructions for the distinct subterms of f not in index, in
+    syntax.subterms order (children first, shared by identity), from one
+    explicit-stack walk that never enters a node already in index.
 
     symbols is _symbols' result.  index maps id(subterm) to its
     instruction's position; it grows by the new subterms, which take the
@@ -150,44 +151,51 @@ def _compile(f: Formula, symbols, index: dict) -> list:
     instruction is (op, arg, x, y): x and y index the children (both the
     one child of a unary node), arg is the prop index, the agent index of
     [i], or the slot agent * len(consts) + constant of a constant-indexed
-    box.  [i]^c g runs as [i]^c(g, g).  A KvCond raises LanguageError;
-    otherwise the first unknown symbol in preorder raises ValueError;
-    either way index is left as it was.
+    box.  [i]^c g runs as [i]^c(g, g).  On failure index is unchanged and
+    a subterms pass raises TypeError for a non-formula, LanguageError for
+    a KvCond, else ValueError for the first unknown symbol in preorder.
     """
     agent_at, prop_at, const_at = symbols
-    new = subterms(f)
-    if index:
-        new = [g for g in new if id(g) not in index]
     prog: list[tuple[int, int, int, int]] = []
+    stack: list = [f]
     try:
-        for pos, node in enumerate(new, len(index)):
-            index[id(node)] = pos
-            kind = type(node)
-            if kind is Neg:
-                x = index[id(node.sub)]
-                prog.append((_NEG, 0, x, x))
-            elif kind is Prop:
-                prog.append((_PROP, prop_at[node.name], 0, 0))
-            elif kind is And:
-                prog.append((_AND, 0, index[id(node.left)], index[id(node.right)]))
-            elif kind is Box:
-                x = index[id(node.sub)]
-                prog.append((_BOX, agent_at[node.agent], x, x))
-            elif kind is BBoxU or kind is BBoxB:
-                slot = agent_at[node.agent] * len(const_at) + const_at[node.constant]
-                x, y = (node.sub, node.sub) if kind is BBoxU else (node.left, node.right)
-                prog.append((_PAIRS, slot, index[id(x)], index[id(y)]))
+        while stack:
+            node = stack.pop()
+            if node is None:            # the node below has its children done
+                node = stack.pop()
+                if (kind := type(node)) is And:
+                    ins = (_AND, 0, index[id(node.left)], index[id(node.right)])
+                elif kind is Neg or kind is Box:
+                    x = index[id(node.sub)]
+                    ins = ((_NEG, 0, x, x) if kind is Neg
+                           else (_BOX, agent_at[node.agent], x, x))
+                else:
+                    slot = agent_at[node.agent] * len(const_at) + const_at[node.constant]
+                    x, y = (node.sub, node.sub) if kind is BBoxU else (node.left, node.right)
+                    ins = (_PAIRS, slot, index[id(x)], index[id(y)])
+            elif id(node) in index:
+                continue
+            elif (kind := type(node)) is Prop:
+                ins = (_PROP, prop_at[node.name], 0, 0)
             elif kind is Top:
-                prog.append((_TOP, 0, 0, 0))
+                ins = (_TOP, 0, 0, 0)
+            elif kind is Neg or kind is Box or kind is BBoxU:
+                stack += (node, None, node.sub)
+                continue
+            elif kind is And or kind is BBoxB:
+                stack += (node, None, node.right, node.left)
+                continue
             else:
-                break               # a KvCond
+                break                   # a KvCond, or not a formula
+            index[id(node)] = len(index)
+            prog.append(ins)
+        else:
+            return prog
     except KeyError:
-        pass                        # an unknown symbol
-    if len(prog) == len(new):
-        return prog
-    for node in new:
-        index.pop(id(node), None)
-    if any(isinstance(g, KvCond) for g in new):
+        pass                            # an unknown symbol
+    for _ in prog:
+        index.popitem()                 # the new entries, one per instruction
+    if any(isinstance(g, KvCond) for g in subterms(f)):
         raise LanguageError(f"conditional Kv formula needs an FO model: {f}")
     kinds = (("agent", "agent", agent_at), ("constant", "constant", const_at),
              ("prop", "name", prop_at))

@@ -154,11 +154,12 @@ class Formula:
                     key = (kind, g.agent, g.constant, g.left._hash, g.right._hash)
                 else:                         # KvCond, BBoxU
                     key = (kind, g.agent, g.constant, g.sub._hash)
-                g.__dict__["_hash"] = hash(key)
+                object.__setattr__(g, "_hash", hash(key))   # builds no __dict__
             elif g._hash is not None:
                 continue
             elif (kind := type(g)) is Prop or kind is Top:
-                g.__dict__["_hash"] = hash((kind, g.name) if kind is Prop else kind)
+                key = (kind, g.name) if kind is Prop else kind
+                object.__setattr__(g, "_hash", hash(key))
             elif kind is And or kind is BBoxB:
                 stack += (g, None, g.right, g.left)
             else:
@@ -338,18 +339,29 @@ def subterms(f: Formula) -> list[Formula]:
 
 
 def fold(f: Formula, step):
-    """step(g, subs) over the distinct subterms g of f, children first,
-    where subs holds its results for g's children; its result for f."""
-    done: dict[int, object] = {}
-    for g in subterms(f):
-        kind = type(g)                # children() inlined, as in subterms
-        if kind is And or kind is BBoxB:
-            subs: tuple = (done[id(g.left)], done[id(g.right)])
+    """step(g, subs)'s result for f, with step called on each distinct subterm
+    g in subterms order as one walk goes; subs holds its results for g's children."""
+    done: dict[int, object] = {}      # by id, the results so far
+    stack: list = [f]
+    while stack:
+        node = stack.pop()
+        if node is None:              # the node below has its children done
+            node = stack.pop()
+            subs = ((done[id(node.left)], done[id(node.right)])
+                    if (kind := type(node)) is And or kind is BBoxB
+                    else (done[id(node.sub)],))
+            done[id(node)] = step(node, subs)
+        elif id(node) in done:
+            continue
+        elif (kind := type(node)) is Neg or kind is Box or kind is BBoxU \
+                or kind is KvCond:    # children() inlined, as in subterms
+            stack += (node, None, node.sub)
+        elif kind is And or kind is BBoxB:
+            stack += (node, None, node.right, node.left)
         elif kind is Prop or kind is Top:
-            subs = ()
+            done[id(node)] = step(node, ())
         else:
-            subs = (done[id(g.sub)],)
-        done[id(g)] = step(g, subs)
+            raise TypeError(f"not a formula: {node!r}")
     return done[id(f)]
 
 

@@ -311,6 +311,20 @@ class TestBisim:
         assert rc == 1
         assert json.loads(out) == {"bisimilar": False, "formula": "<a>~p"}
 
+    @pytest.mark.parametrize("states, named", [
+        (("nope", "x"), "'nope' in the first model"),
+        (("s", "nope"), "'nope' in the second model"),
+        (("nope", "nada"), "'nope' in the first model and 'nada' in the second model"),
+    ], ids=["first", "second", "both"])
+    def test_unknown_state_names_only_the_unknown_ones(self, capsys, models_dir,
+                                                        states, named):
+        rc, out, err = run(
+            capsys, "bisim",
+            str(models_dir / "binary_vs_unary_left.json"), states[0],
+            str(models_dir / "binary_vs_unary_right.json"), states[1],
+        )
+        assert (rc, out, err) == (2, "", f"error: unknown state {named}\n")
+
 
 class TestProve:
     def test_accepted_script_summarises_the_conclusion(self, capsys, proofs_dir):

@@ -15,6 +15,7 @@ import pytest
 
 from kvlog.models import GenParams, generate_direct
 from kvlog.proof import (
+    SCHEMAS,
     SMLKV,
     SMLKVB,
     SMLKVR,
@@ -23,10 +24,13 @@ from kvlog.proof import (
     CheckResult,
     Derivation,
     ScriptError,
+    _slotted,
+    _truth_table,
     axiom_instance,
     check_derivation,
     is_tautology,
     parse_script,
+    schema_metavars,
     soundness_fuzz,
     split_iff,
 )
@@ -101,6 +105,17 @@ class TestAxiomInstance:
             axiom_instance(SMLKVB, "SYM", {"p": P}, "a", "c")
         with pytest.raises(ValueError, match="extra p"):
             axiom_instance(SMLKV, "INCLT", {"p": P}, "a", "c")
+
+    def test_instances_do_not_depend_on_the_slot_memo(self):
+        sigma = {"p": Box("a", P), "q": Neg(Q), "r": Top()}
+        for system in SYSTEMS.values():
+            for schema in system.schemas[1:]:
+                want = {v: sigma[v] for v in schema_metavars(SCHEMAS[schema])}
+                _slotted.cache_clear()
+                cold = axiom_instance(system, schema, want, "b", "d")
+                warm = axiom_instance(system, schema, want, "b", "d")
+                assert _slotted.cache_info().hits == 1
+                assert cold == warm
 
 
 class TestScriptParsing:
@@ -299,6 +314,12 @@ class TestTautologyDecision:
         assert not ok
         assert reason == "skeleton has 13 atoms, limit is 12; decompose the step"
 
+    def test_truth_table_columns_match_the_row_sums(self):
+        for n in range(TAUT_ATOM_LIMIT + 1):
+            rows = 1 << n
+            assert _truth_table(n) == ((1 << rows) - 1, [
+                sum(1 << k for k in range(rows) if k >> j & 1) for j in range(n)])
+
     def test_agrees_with_the_truth_table_oracle(self):
         rng = random.Random(20260814)
         for _ in range(200):
@@ -380,6 +401,22 @@ class TestSoundnessFuzz:
         first = soundness_fuzz(SMLKVB, trials=25, seed=11)
         second = soundness_fuzz(SMLKVB, trials=25, seed=11)
         assert first == second
+
+    def test_reports_do_not_depend_on_the_slot_memo(self):
+        bogus = {"BOGUS": self.bogus_schema()}
+        found = []
+        for system in SYSTEMS.values():
+            soundness_fuzz(system, trials=1, seed=2, extra_schemas=bogus)
+            warm = soundness_fuzz(system, trials=20, seed=2, extra_schemas=bogus)
+            cold = []
+            for trial in range(20):
+                _slotted.cache_clear()
+                cold.append(soundness_fuzz(system, trials=1, seed=2,
+                                           extra_schemas=bogus, start=trial))
+            assert warm.checks == sum(r.checks for r in cold)
+            assert warm.falsifications == [f for r in cold for f in r.falsifications]
+            found.append(bool(warm.falsifications))
+        assert any(found)
 
     def test_sharded_runs_cover_the_same_trials(self):
         bogus = {"BOGUS": self.bogus_schema()}

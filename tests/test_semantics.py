@@ -210,6 +210,19 @@ class TestIndexedModel:
         indexed.truth(parse("([a]^c(p, q) & <a>p)", VOC))   # equal, not shared
         assert len(indexed.prog) == 2 * size + 2
 
+    def test_compile_does_not_walk_indexed_subterms(self):
+        leaf = Prop("p")        # kept alive, so no new node takes its id
+        deepest = chain = Neg(leaf)
+        for _ in range(999):
+            chain = Neg(chain)
+        indexed = IndexedModel(non_normality_witness())
+        indexed.truth(chain)
+        size = len(indexed.prog)
+        # a walk into the indexed chain would meet this and raise TypeError
+        object.__setattr__(deepest, "sub", "not a formula")
+        indexed.truth(And(chain, chain))
+        assert len(indexed.prog) == size + 1
+
 
 class TestValidOn:
     def test_symmetry_axiom_instance_is_valid(self, left_model):

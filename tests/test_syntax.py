@@ -16,11 +16,11 @@ from kvlog.models import GenParams, generate_direct
 from kvlog.semantics import eval_ternary
 from kvlog.syntax import (And, BBoxB, BBoxU, Box, KvCond, LanguageError, Neg,
                           ParseError, Prop, Top, Vocabulary, big_and, big_or,
-                          bot, dia, dia_b, dia_u, embed_unary, f_or, iff, imp,
-                          language_of, modal_depth, nn_normalize, occurrences,
-                          parse, parse_infer, print_formula, random_formula,
-                          reduce_r, replace_at, substitute, subterm_at,
-                          subterms, translate_T, translate_T_inv)
+                          bot, dia, dia_b, dia_u, embed_unary, f_or, fold, iff,
+                          imp, language_of, modal_depth, nn_normalize,
+                          occurrences, parse, parse_infer, print_formula,
+                          random_formula, reduce_r, replace_at, substitute,
+                          subterm_at, subterms, translate_T, translate_T_inv)
 
 from oracles import oracle_equal, oracle_eval
 
@@ -229,6 +229,30 @@ class TestSharedSubterms:
         with pytest.raises(LanguageError, match=re.escape(
                 f"not an {language} formula: {outer}")):
             fn(f)
+
+
+class TestFold:
+    def test_step_runs_once_per_distinct_subterm_in_subterms_order(self):
+        rng = random.Random(8)
+        for _ in range(40):
+            x = random_formula(rng, VOC, 3)
+            y = random_formula(rng, VOC, 2)
+            f = And(BBoxB("a", "c", x, y), Neg(And(y, Box("b", And(x, x)))))
+            seen = []
+
+            def step(g, subs):
+                assert subs == tuple(id(c) for c in children_of(g))
+                seen.append(g)
+                return id(g)
+
+            assert fold(f, step) == id(f)
+            assert [id(g) for g in seen] == [id(g) for g in subterms(f)]
+
+    def test_a_deep_chain_folds_without_recursion(self):
+        f = P
+        for _ in range(100_000):
+            f = Neg(f)
+        assert fold(f, lambda g, subs: 1 + sum(subs)) == 100_001
 
 
 def children_of(f):
