@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import sys
+from typing import Optional
 
 from .bisim import distinguishing_formula
 from .models import (FOKripkeModel, GenParams, TernaryModel, derive_ternary,
@@ -251,13 +252,21 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _int_at_least(low: int):
-    """argparse type for integers >= low; anything else exits 2."""
+# --workers above this exits 2: a pool starts all its processes at once
+MAX_WORKERS = 32
+
+
+def _int_at_least(low: int, cap: Optional[int] = None):
+    """argparse type for integers >= low, and <= cap if one is given;
+    anything else exits 2."""
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(
                 f"expected an integer >= {low}, got {text!r}")
+        if cap is not None and value > cap:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer <= {cap}, got {text!r}")
         return value
     return integer
 
@@ -298,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula")
     p.add_argument("--max-states", type=_int_at_least(1), default=3)
     p.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_BUDGET)
-    p.add_argument("--workers", type=_int_at_least(1), default=1)
+    p.add_argument("--workers", type=_int_at_least(1, MAX_WORKERS), default=1)
 
     p = add("translate", cmd_translate,
             "translate between conditional-value and box languages")
@@ -338,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("system", help=", ".join(SYSTEMS))
     p.add_argument("--trials", type=_int_at_least(1), default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=_int_at_least(1), default=1)
+    p.add_argument("--workers", type=_int_at_least(1, MAX_WORKERS), default=1)
 
     p = add("gen", cmd_gen, "generate a random model as JSON")
     p.add_argument("--kind", choices=("value", "direct"), default="value")

@@ -17,8 +17,12 @@ Derivations are line-oriented scripts:
 
 Every step states its formula; the checker recomputes what the cited
 rule yields and compares structurally, so checking is deterministic and
-justification-local.  TAUT certifies propositional tautologies over the
-modal-subformula skeleton by truth table (at most 12 distinct atoms).
+justification-local.  Each rule is one row of RULES: the steps it cites,
+the Step fields it needs and may take, its usage text and its own check.
+_check_step runs the checks all rules share, then the row's; the NEC rows
+also build the conclusions the fuzzer tests.  TAUT certifies propositional
+tautologies over the modal-subformula skeleton by truth table (at most 12
+distinct atoms).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import functools
 import random
 import re as _re
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .models import GenParams, TernaryModel, generate_direct, \
     generate_value_induced
@@ -218,27 +222,20 @@ class ScriptError(ValueError):
 
 def _split_args(text: str) -> list[str]:
     """Split at top-level commas; arrows do not count as angle brackets."""
-    parts, depth, start, i = [], 0, 0, 0
-    while i < len(text):
-        if text.startswith("<->", i):
-            i += 3
-            continue
-        if text.startswith("->", i):
-            i += 2
-            continue
-        ch = text[i]
-        if ch in "([<":
+    parts, depth, start = [], 0, 0
+    for m in _ARG_TOKEN_RE.finditer(text):
+        if m.group(2):
             depth += 1
-        elif ch in ")]>":
+        elif m.group(3):
             depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-        i += 1
+        elif m.group(4) and depth == 0:
+            parts.append(text[start:m.start()])
+            start = m.end()
     parts.append(text[start:])
     return [p.strip() for p in parts if p.strip()]
 
 
+_ARG_TOKEN_RE = _re.compile(r"(<?->)|([(\[<])|([)\]>])|(,)")
 _STEP_RE = _re.compile(r"^(\d+)\.\s*(.*)$")
 _VOCAB_RE = _re.compile(r"^vocab\s+(.*)$")
 
@@ -255,8 +252,7 @@ def _parse_vocab_line(body: str, lineno: int) -> Vocabulary:
     missing = [k for k, v in sets.items() if v is None]
     if missing:
         raise ScriptError(f"vocab line misses {', '.join(missing)}", lineno)
-    return Vocabulary(agents=sets["agents"], props=sets["props"],
-                      constants=sets["constants"])
+    return Vocabulary(**sets)
 
 
 def parse_script(text: str) -> Derivation:
@@ -301,16 +297,13 @@ def _parse_justification(num: int, formula: Formula, by: str,
     m = _re.match(r"^([A-Z]+)\s*(?:\((.*)\))?\s*$", by)
     if not m:
         raise ScriptError(f"unreadable justification {by!r}", lineno)
-    rule, argtext = m.group(1), m.group(2) or ""
-    args = _split_args(argtext) if argtext.strip() else []
+    rule = m.group(1)
+    symbols = () if rule == "SUB" else ("i", "c")   # SUB may bind i and c
     refs: list[int] = []
-    schema = None
-    sigma: dict[str, Formula] = {}
-    agent = constant = None
-    side = None
     positions: list[Path] = []
-    keys: set[str] = set()
-    for pos, arg in enumerate(args):
+    named: dict[str, object] = {}   # key -> symbol name or parsed formula
+    schema = None
+    for pos, arg in enumerate(_split_args(m.group(2) or "")):
         if "=" in arg and not arg.startswith("("):
             key, _, value = arg.partition("=")
             key, value = key.strip(), value.strip()
@@ -320,32 +313,128 @@ def _parse_justification(num: int, formula: Formula, by: str,
                 except ValueError as exc:
                     raise ScriptError(str(exc), lineno) from None
                 continue
-            if key in keys:
+            if key in named:
                 raise ScriptError(f"{key}= is given twice", lineno)
-            keys.add(key)
-            if rule != "SUB" and key == "i":
-                agent = value
-            elif rule != "SUB" and key == "c":
-                constant = value
-            else:
+            if key not in symbols:
                 try:
-                    parsed = parse(value, vocab)
+                    value = parse(value, vocab)
                 except Exception as exc:
                     raise ScriptError(f"bad value for {key}: {exc}",
                                       lineno) from None
-                if key == "side":
-                    side = parsed
-                else:
-                    sigma[key] = parsed
+            named[key] = value
         elif arg.isdigit():
             refs.append(int(arg))
         elif pos == 0 and rule == "AX":
             schema = arg
         else:
             raise ScriptError(f"unreadable argument {arg!r}", lineno)
+    agent, constant = (named.pop(k, None) if k in symbols else None
+                       for k in ("i", "c"))
+    side = named.pop("side", None)
     return Step(num=num, formula=formula, rule=rule, refs=tuple(refs),
-                schema=schema, sigma=sigma or None, agent=agent,
+                schema=schema, sigma=named or None, agent=agent,
                 constant=constant, side=side, positions=tuple(positions))
+
+
+# --- the rules: each function gets a step that passed _check_step's shared
+# checks and the formulas of the steps it cites, and says why the step fails
+
+def _tautology(system, vocab, step, prems) -> Optional[str]:
+    ok, why = is_tautology(step.formula)
+    return None if ok else f"not a propositional tautology: {why}"
+
+
+def _axiom(system, vocab, step, prems) -> Optional[str]:
+    if step.schema not in system.schemas:
+        return f"{system.name} has no schema {step.schema}"
+    if step.agent is None:
+        return "AX needs i=<agent>"
+    if step.constant is None and step.schema != "DISTK":
+        return "AX needs c=<constant>"
+    try:                            # DISTK has no constant slot to fill
+        inst = axiom_instance(system, step.schema, step.sigma or {}, step.agent,
+                              step.constant or vocab.constants[0])
+    except ValueError as exc:
+        return str(exc)
+    return None if inst == step.formula else (
+        f"stated formula differs from the {step.schema} "
+        f"instance {print_formula(inst)}")
+
+
+def _modus_ponens(system, vocab, step, prems) -> Optional[str]:
+    prem, cond = prems
+    return None if cond == imp(prem, step.formula) else (
+        f"step {step.refs[1]} is not "
+        f"({print_formula(prem)} -> {print_formula(step.formula)})")
+
+
+def _necessitation(shape: str):
+    """The check of a NEC row: the step states what the row builds."""
+    def check(system, vocab, step, prems) -> Optional[str]:
+        built = RULES[step.rule].build(step.agent, step.constant, prems[0], step.side)
+        return None if step.formula == built else f"stated formula is not {shape}"
+    return check
+
+
+def _substitution(system, vocab, step, prems) -> Optional[str]:
+    for name in step.sigma:
+        if vocab.kind_of(name) != "prop":
+            return f"SUB binds {name!r}, which is not a prop"
+    return None if step.formula == substitute(prems[0], step.sigma) else (
+        "stated formula is not the substitution instance")
+
+
+def _replacement(system, vocab, step, prems) -> Optional[str]:
+    sides, own = split_iff(prems[0]), split_iff(step.formula)
+    if sides is None:
+        return f"step {step.refs[0]} is not a biconditional"
+    if own is None:
+        return "stated formula is not a biconditional"
+    try:
+        rebuilt = replace_at(own[0], step.positions, *sides)
+    except ValueError as exc:
+        return str(exc)
+    return None if rebuilt == own[1] else (
+        f"replacement yields {print_formula(rebuilt)}, "
+        f"not {print_formula(own[1])}")
+
+
+class Rule(NamedTuple):
+    refs: int                  # how many steps it cites
+    needs: tuple[str, ...]     # Step fields it must be given
+    takes: tuple[str, ...]     # Step fields it may be given besides
+    usage: str                 # the reason when refs or needs are not met
+    check: Callable[..., Optional[str]]   # (system, vocab, step, premises)
+    # a NEC rule's conclusion from (agent, constant, premise, side)
+    build: Optional[Callable[..., Formula]] = None
+
+
+RULES: dict[str, Rule] = {
+    "TAUT": Rule(0, (), (), "", _tautology),
+    "AX": Rule(0, ("schema",), ("sigma", "agent", "constant"),
+               "AX needs a schema name", _axiom),
+    "MP": Rule(2, (), (), "MP needs two step references", _modus_ponens),
+    "NECK": Rule(1, ("agent",), (), "NECK needs one reference and i=<agent>",
+                 _necessitation("the boxed premise"),
+                 lambda i, c, prem, side: Box(i, prem)),
+    "NECKVR": Rule(1, ("agent", "constant"), (),
+                   "NECKVR needs one reference, i=<agent> and c=<constant>",
+                   _necessitation("the premise under [i]^c"),
+                   lambda i, c, prem, side: BBoxU(i, c, prem)),
+    "NECKVB": Rule(1, ("agent", "constant", "side"), (),
+                   "NECKVB needs one reference, i=<agent>, c=<constant> "
+                   "and side=<formula>",
+                   _necessitation("[i]^c(premise, side)"),
+                   lambda i, c, prem, side: BBoxB(i, c, prem, side)),
+    "SUB": Rule(1, ("sigma",), (),
+                "SUB needs one reference and at least one prop binding",
+                _substitution),
+    "RE": Rule(1, (), ("positions",), "RE needs one step reference",
+               _replacement),
+}
+
+_ARGS = {"schema": "a schema name", "sigma": "prop bindings", "agent": "i=",
+         "constant": "c=", "side": "side=", "positions": "at="}   # as scripts spell them
 
 
 def check_derivation(system: ProofSystem, d: Derivation) -> CheckResult:
@@ -361,121 +450,26 @@ def check_derivation(system: ProofSystem, d: Derivation) -> CheckResult:
 
 def _check_step(system: ProofSystem, d: Derivation,
                 step: Step) -> Optional[str]:
-    def ref(idx: int) -> Optional[Formula]:
-        if not 1 <= idx < step.num:
-            return None
-        return d.steps[idx - 1].formula
-
-    rule = step.rule
-    if rule == "TAUT":
-        ok, why = is_tautology(step.formula)
-        if not ok:
-            return f"not a propositional tautology: {why}"
-        return None
-    if rule == "AX":
-        if step.schema is None:
-            return "AX needs a schema name"
-        if step.schema not in system.schemas:
-            return f"{system.name} has no schema {step.schema}"
-        if step.agent is None:
-            return "AX needs i=<agent>"
-        if d.vocab.kind_of(step.agent) != "agent":
-            return f"{step.agent!r} is not an agent"
-        constant = step.constant
-        if constant is None:
-            if step.schema != "DISTK":
-                return "AX needs c=<constant>"
-            constant = d.vocab.constants[0]  # no constant slot in DISTK
-        elif d.vocab.kind_of(constant) != "constant":
-            return f"{constant!r} is not a constant"
-        try:
-            inst = axiom_instance(system, step.schema, step.sigma or {},
-                                  step.agent, constant)
-        except ValueError as exc:
-            return str(exc)
-        if inst != step.formula:
-            return (f"stated formula differs from the {step.schema} "
-                    f"instance {print_formula(inst)}")
-        return None
-    if rule not in system.rules:
-        return f"{system.name} has no rule {rule}"
-    if rule == "MP":
-        if len(step.refs) != 2:
-            return "MP needs two step references"
-        prem = ref(step.refs[0])
-        cond = ref(step.refs[1])
-        if prem is None or cond is None:
-            return "MP references must point at earlier steps"
-        if cond != imp(prem, step.formula):
-            return (f"step {step.refs[1]} is not "
-                    f"({print_formula(prem)} -> {print_formula(step.formula)})")
-        return None
-    if rule == "NECK":
-        if len(step.refs) != 1 or step.agent is None:
-            return "NECK needs one reference and i=<agent>"
-        prem = ref(step.refs[0])
-        if prem is None:
-            return "NECK reference must point at an earlier step"
-        if d.vocab.kind_of(step.agent) != "agent":
-            return f"{step.agent!r} is not an agent"
-        if step.formula != Box(step.agent, prem):
-            return "stated formula is not the boxed premise"
-        return None
-    if rule == "NECKVR":
-        if len(step.refs) != 1 or step.agent is None or step.constant is None:
-            return "NECKVR needs one reference, i=<agent> and c=<constant>"
-        prem = ref(step.refs[0])
-        if prem is None:
-            return "NECKVR reference must point at an earlier step"
-        if step.formula != BBoxU(step.agent, step.constant, prem):
-            return "stated formula is not the premise under [i]^c"
-        return None
-    if rule == "NECKVB":
-        if (len(step.refs) != 1 or step.agent is None
-                or step.constant is None or step.side is None):
-            return ("NECKVB needs one reference, i=<agent>, c=<constant> "
-                    "and side=<formula>")
-        prem = ref(step.refs[0])
-        if prem is None:
-            return "NECKVB reference must point at an earlier step"
-        if step.formula != BBoxB(step.agent, step.constant, prem, step.side):
-            return "stated formula is not [i]^c(premise, side)"
-        return None
-    if rule == "SUB":
-        if len(step.refs) != 1 or not step.sigma:
-            return "SUB needs one reference and at least one prop binding"
-        prem = ref(step.refs[0])
-        if prem is None:
-            return "SUB reference must point at an earlier step"
-        for name in step.sigma:
-            if d.vocab.kind_of(name) != "prop":
-                return f"SUB binds {name!r}, which is not a prop"
-        if step.formula != substitute(prem, step.sigma):
-            return "stated formula is not the substitution instance"
-        return None
-    if rule == "RE":
-        if len(step.refs) != 1:
-            return "RE needs one step reference"
-        prem = ref(step.refs[0])
-        if prem is None:
-            return "RE reference must point at an earlier step"
-        sides = split_iff(prem)
-        if sides is None:
-            return f"step {step.refs[0]} is not a biconditional"
-        psi, chi = sides
-        own = split_iff(step.formula)
-        if own is None:
-            return "stated formula is not a biconditional"
-        left, right = own
-        try:
-            rebuilt = replace_at(left, step.positions, psi, chi)
-        except ValueError as exc:
-            return str(exc)
-        if rebuilt != right:
-            return (f"replacement yields {print_formula(rebuilt)}, "
-                    f"not {print_formula(right)}")
-        return None
-    return f"unknown rule {rule}"
+    row = RULES.get(step.rule)              # every system has TAUT and AX
+    if row is None or step.rule not in ("TAUT", "AX") + system.rules:
+        return f"{system.name} has no rule {step.rule}"
+    if step.refs and not row.refs:
+        return f"{step.rule} does not read step references"
+    for name, arg in _ARGS.items():
+        if getattr(step, name) not in (None, ()) and name not in row.needs + row.takes:
+            return f"{step.rule} does not read {arg}"
+    if (len(step.refs) != row.refs
+            or any(getattr(step, name) is None for name in row.needs)):
+        return row.usage
+    if not all(1 <= j < step.num for j in step.refs):
+        return (f"{step.rule} references must point at earlier steps" if row.refs > 1
+                else f"{step.rule} reference must point at an earlier step")
+    if step.agent is not None and d.vocab.kind_of(step.agent) != "agent":
+        return f"{step.agent!r} is not an agent"
+    if step.constant is not None and d.vocab.kind_of(step.constant) != "constant":
+        return f"{step.constant!r} is not a constant"
+    return row.check(system, d.vocab, step,
+                     tuple(d.steps[j - 1].formula for j in step.refs))
 
 
 # --- soundness fuzzing -------------------------------------------------------
@@ -538,11 +532,6 @@ def soundness_fuzz(system: ProofSystem, trials: int, seed: int,
     report = FuzzReport(system=system.name, trials=trials)
     lang = system.language
 
-    def note(trial, params, kind, formula, state):
-        report.falsifications.append(Falsification(
-            system=system.name, trial=trial, kind=kind,
-            formula=print_formula(formula), state=state, params=params))
-
     pool = {name: SCHEMAS[name] for name in system.schemas if name != "TAUT"}
     pool.update(extra_schemas or {})
     for trial in range(start, start + trials):
@@ -558,9 +547,10 @@ def soundness_fuzz(system: ProofSystem, trials: int, seed: int,
             report.checks += 1
             state = indexed.counterexample_state(formula)
             if state is not None:
-                note(trial, params, kind, formula, state)
-                return False
-            return True
+                report.falsifications.append(Falsification(
+                    system=system.name, trial=trial, kind=kind,
+                    formula=print_formula(formula), state=state, params=params))
+            return state is None
 
         agent = vocab.agents[rng.randrange(len(vocab.agents))]
         constant = vocab.constants[rng.randrange(len(vocab.constants))]
@@ -598,13 +588,12 @@ def soundness_fuzz(system: ProofSystem, trials: int, seed: int,
         if indexed.counterexample_state(conditional) is None:
             check_valid("MP", psi)
 
-        # NECK and the NEC rule of the system
+        # the system's NEC rules, in its order, built as the checker builds
         phi = pick(known)
-        check_valid("NECK", Box(agent, phi))
-        if "NECKVR" in system.rules:
-            check_valid("NECKVR", BBoxU(agent, constant, phi))
-        if "NECKVB" in system.rules:
-            check_valid("NECKVB", BBoxB(agent, constant, phi, rand()))
+        for name in system.rules:
+            if (build := RULES[name].build) is not None:
+                side = rand() if "side" in RULES[name].needs else None
+                check_valid(name, build(agent, constant, phi, side))
 
         # SUB on an axiom instance stays an axiom instance
         if instances:

@@ -355,7 +355,7 @@ def _search_chunk(prog, used, n, val_lo, val_hi, budget):
     moving = [i for i, st in enumerate(static) if not st]
     vals = [0] * len(prog)
     full = (1 << n) - 1
-    tables = _pair_tables(n)
+    tables = _pair_tables(n) if consts else None   # read only for triples
     a_cnt, p_cnt, c_cnt = len(agents), len(props), len(consts)
     evaluated = 0
     edge_space = 1 << (a_cnt * n * n)

@@ -6,11 +6,14 @@ and the exact text or JSON it emits, so the CLI contract stays frozen.
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import time
 
 import pytest
 
-from kvlog.cli import build_parser, main
+from kvlog import semantics
+from kvlog.cli import MAX_WORKERS, build_parser, main
 from kvlog.models import derive_ternary, load_model
 from kvlog.proof import SMLKVR, soundness_fuzz
 
@@ -158,6 +161,14 @@ class TestRefute:
                 for workers in ("1", "2", "1")]
         assert outs[0][0] == 1 and outs[0] == outs[1] == outs[2]
         assert json.loads(outs[0][1])["state"] == "s1"
+
+    def test_formula_without_constants_builds_no_pair_tables(self, capsys):
+        semantics._pair_tables.cache_clear()
+        began = time.perf_counter()
+        rc, out, err = run(capsys, "refute", "(p | ~p)", "--max-states", "6")
+        assert time.perf_counter() - began < 1.0
+        assert (rc, out, err) == (0, "no countermodel with at most 6 states\n", "")
+        assert semantics._pair_tables.cache_info().currsize == 0
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_budget_count_is_exact_for_every_worker_count(self, capsys, workers):
@@ -384,6 +395,18 @@ class TestProve:
         assert (rc, out) == (2, "")
         assert err == (f"error: line 2: bad value for {key}: "
                        "unexpected '' (at column 4)\n")
+
+    def test_argument_the_rule_does_not_read_is_a_rejection(self, capsys, tmp_path):
+        script = tmp_path / "unread.kvp"
+        script.write_text("1. (p | ~p) BY TAUT\n2. ((p | ~p) -> (p | ~p)) BY TAUT\n"
+                          "3. (p | ~p) BY MP(1, 2, i=a, side=p)\n")
+        rc, out, err = run(capsys, "prove", "SMLKVr", str(script))
+        assert (rc, out, err) == (1, "rejected at step 3: MP does not read i=\n", "")
+        rc, out, _ = run(capsys, "prove", "--json", "SMLKVr", str(script))
+        assert rc == 1
+        assert json.loads(out) == {"conclusion": "(p | ~p)", "ok": False,
+                                   "reason": "MP does not read i=", "step": 3,
+                                   "steps": 3}
 
     def test_repeated_key_is_a_usage_error(self, capsys, tmp_path):
         script = tmp_path / "twice.kvp"
@@ -638,3 +661,18 @@ class TestArgparseContract:
             main(argv)
         assert exc.value.code == 2
         assert f"error: argument {argv[-2]}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["refute", "p"], ["fuzz", "SMLKV"]])
+    def test_workers_above_the_cap_exit_2_before_any_pool(
+            self, capsys, monkeypatch, command):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--workers", str(MAX_WORKERS + 1)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --workers: expected an integer <= {MAX_WORKERS}, "
+            f"got '{MAX_WORKERS + 1}'\n")
+        args = build_parser().parse_args(command + ["--workers", str(MAX_WORKERS)])
+        assert args.workers == MAX_WORKERS

@@ -15,6 +15,8 @@ import pytest
 
 from kvlog.models import GenParams, generate_direct
 from kvlog.proof import (
+    DEFAULT_SCRIPT_VOCAB,
+    RULES,
     SCHEMAS,
     SMLKV,
     SMLKVB,
@@ -237,6 +239,163 @@ class TestNegativeCorpus:
             der, system = load_script(path)
             res = check_derivation(system, der)
             assert wanted[path.name] in res.reason
+
+
+TAUT1 = "1. (p | ~p) BY TAUT\n"        # a first step for rules that cite one
+IFF1 = "1. (p <-> ~~p) BY TAUT\n"
+DISTK_AB = "([a](p -> q) -> ([a]p -> [a]q))"
+DISTKVR_AB = "([a](p -> q) -> ([a]^c p -> [a]^c q))"
+ATOMS13 = [f"p{k}" for k in range(13)]
+
+# One minimal script per rejection reason of check_derivation, with the
+# step and the reason text it gets.
+REJECTIONS = [
+    ("taut_fails", "SMLKVr", "1. (p -> q) BY TAUT",
+     1, "not a propositional tautology: fails under assignment 01"),
+    ("taut_too_wide", "SMLKVr",
+     f"vocab agents a ; props {' '.join(ATOMS13)} ; constants c\n"
+     f"1. ({' | '.join(ATOMS13)}) BY TAUT",
+     1, "not a propositional tautology: skeleton has 13 atoms, limit is 12; "
+        "decompose the step"),
+    ("ax_no_schema", "SMLKVr", "1. p BY AX", 1, "AX needs a schema name"),
+    ("ax_foreign_schema", "SMLKVr",
+     "1. ([a]^c(p, q) -> [a]^c(q, p)) BY AX(SYM, i=a, c=c, p=p, q=q)",
+     1, "SMLKVr has no schema SYM"),
+    ("ax_no_agent", "SMLKVr", f"1. {DISTK_AB} BY AX(DISTK, p=p, q=q)",
+     1, "AX needs i=<agent>"),
+    ("ax_bad_agent", "SMLKVr", f"1. {DISTK_AB} BY AX(DISTK, i=zz, p=p, q=q)",
+     1, "'zz' is not an agent"),
+    ("ax_no_constant", "SMLKVr", f"1. {DISTKVR_AB} BY AX(DISTKVR, i=a, p=p, q=q)",
+     1, "AX needs c=<constant>"),
+    ("ax_bad_constant", "SMLKVr",
+     f"1. {DISTKVR_AB} BY AX(DISTKVR, i=a, c=zz, p=p, q=q)",
+     1, "'zz' is not a constant"),
+    ("ax_metavariables", "SMLKVr", f"1. {DISTK_AB} BY AX(DISTK, i=a, p=p)",
+     1, "schema DISTK wants metavariables ['p', 'q']; missing q, extra none"),
+    ("ax_other_instance", "SMLKVr", f"1. {DISTK_AB} BY AX(DISTK, i=a, p=q, q=p)",
+     1, "stated formula differs from the DISTK instance "
+        "([a](q -> p) -> ([a]q -> [a]p))"),
+    ("rule_of_other_system", "SMLKVr",
+     TAUT1 + "2. [a]^c((p | ~p), q) BY NECKVB(1, i=a, c=c, side=q)",
+     2, "SMLKVr has no rule NECKVB"),
+    ("rule_unknown", "SMLKVr", TAUT1 + "2. p BY FOO(1)",
+     2, "SMLKVr has no rule FOO"),
+    ("mp_usage", "SMLKVr", TAUT1 + "2. p BY MP(1)",
+     2, "MP needs two step references"),
+    ("mp_reference", "SMLKVr", "1. p BY MP(0, 1)",
+     1, "MP references must point at earlier steps"),
+    ("mp_not_conditional", "SMLKVr",
+     "1. (p -> p) BY TAUT\n2. (q -> q) BY TAUT\n3. p BY MP(1, 2)",
+     3, "step 2 is not ((p -> p) -> p)"),
+    ("neck_usage", "SMLKVr", TAUT1 + "2. [a](p | ~p) BY NECK(1)",
+     2, "NECK needs one reference and i=<agent>"),
+    ("neck_reference", "SMLKVr", "1. [a]p BY NECK(1, i=a)",
+     1, "NECK reference must point at an earlier step"),
+    ("neck_bad_agent", "SMLKVr", TAUT1 + "2. [a](p | ~p) BY NECK(1, i=zz)",
+     2, "'zz' is not an agent"),
+    ("neck_other_formula", "SMLKVr", TAUT1 + "2. [b](p | ~p) BY NECK(1, i=a)",
+     2, "stated formula is not the boxed premise"),
+    ("neckvr_usage", "SMLKVr", TAUT1 + "2. [a]^c (p | ~p) BY NECKVR(1, i=a)",
+     2, "NECKVR needs one reference, i=<agent> and c=<constant>"),
+    ("neckvr_reference", "SMLKVr", "1. [a]^c p BY NECKVR(2, i=a, c=c)",
+     1, "NECKVR reference must point at an earlier step"),
+    ("neckvr_other_formula", "SMLKVr",
+     TAUT1 + "2. [a]^d (p | ~p) BY NECKVR(1, i=a, c=c)",
+     2, "stated formula is not the premise under [i]^c"),
+    ("neckvb_usage", "SMLKVb", TAUT1 + "2. [a]^c((p | ~p), q) BY NECKVB(1, i=a, c=c)",
+     2, "NECKVB needs one reference, i=<agent>, c=<constant> and side=<formula>"),
+    ("neckvb_reference", "SMLKVb", "1. [a]^c(p, q) BY NECKVB(1, i=a, c=c, side=q)",
+     1, "NECKVB reference must point at an earlier step"),
+    ("neckvb_other_formula", "SMLKVb",
+     TAUT1 + "2. [a]^c((p | ~p), p) BY NECKVB(1, i=a, c=c, side=q)",
+     2, "stated formula is not [i]^c(premise, side)"),
+    ("sub_usage", "SMLKVr", TAUT1 + "2. (q | ~q) BY SUB(1)",
+     2, "SUB needs one reference and at least one prop binding"),
+    ("sub_reference", "SMLKVr", "1. p BY SUB(1, p=q)",
+     1, "SUB reference must point at an earlier step"),
+    ("sub_binds_an_agent", "SMLKVr", TAUT1 + "2. (p | ~p) BY SUB(1, a=q)",
+     2, "SUB binds 'a', which is not a prop"),
+    ("sub_other_formula", "SMLKVr", "1. (p -> p) BY TAUT\n2. (q -> p) BY SUB(1, p=q)",
+     2, "stated formula is not the substitution instance"),
+    ("re_usage", "SMLKVr", IFF1 + "2. (q <-> q) BY RE(1, 1)",
+     2, "RE needs one step reference"),
+    ("re_reference", "SMLKVr", "1. (p <-> p) BY RE(1)",
+     1, "RE reference must point at an earlier step"),
+    ("re_premise_not_iff", "SMLKVr", TAUT1 + "2. (q <-> q) BY RE(1)",
+     2, "step 1 is not a biconditional"),
+    ("re_stated_not_iff", "SMLKVr", IFF1 + "2. q BY RE(1)",
+     2, "stated formula is not a biconditional"),
+    ("re_other_subterm", "SMLKVr",
+     IFF1 + "2. ((q & p) <-> (q & ~~p)) BY RE(1, at=0)",
+     2, "subterm at (0,) is q, not p"),
+    ("re_missing_position", "SMLKVr",
+     IFF1 + "2. ((q & p) <-> (q & ~~p)) BY RE(1, at=5)",
+     2, "positions [(5,)] do not exist in (q & p)"),
+    ("re_other_result", "SMLKVr", IFF1 + "2. ((q & p) <-> (q & p)) BY RE(1, at=1)",
+     2, "replacement yields (q & ~~p), not (q & p)"),
+]
+
+
+class TestRuleTable:
+    """Every rule is one row of proof.RULES; these pin what the rows say."""
+
+    @pytest.mark.parametrize("system, script, step, reason",
+                             [r[1:] for r in REJECTIONS],
+                             ids=[r[0] for r in REJECTIONS])
+    def test_each_rejection_reason(self, system, script, step, reason):
+        res = check_derivation(SYSTEMS[system], parse_script(script))
+        assert (res.ok, res.step, res.reason) == (False, step, reason)
+
+    def test_steps_must_be_numbered_from_one(self):
+        step = parse_script(TAUT1).steps[0]
+        der = Derivation(DEFAULT_SCRIPT_VOCAB, (dataclasses.replace(step, num=2),))
+        res = check_derivation(SMLKVR, der)
+        assert (res.ok, res.step, res.reason) == (
+            False, 2, "steps are not numbered 1..n")
+
+    def test_every_rule_of_every_system_has_a_row(self):
+        for system in SYSTEMS.values():
+            assert set(system.rules) | {"TAUT", "AX"} <= set(RULES)
+        assert set(RULES) == {"TAUT", "AX"}.union(
+            *(system.rules for system in SYSTEMS.values()))
+
+    @pytest.mark.parametrize("system, conclusion, justification", [
+        ("SMLKVr", "[a](p | ~p)", "NECK(1, i=zz)"),
+        ("SMLKVr", "[a]^c (p | ~p)", "NECKVR(1, i=zz, c=c)"),
+        ("SMLKVr", "[a]^c (p | ~p)", "NECKVR(1, i=a, c=zz)"),
+        ("SMLKVb", "[a]^c((p | ~p), q)", "NECKVB(1, i=zz, c=c, side=q)"),
+        ("SMLKVb", "[a]^c((p | ~p), q)", "NECKVB(1, i=a, c=zz, side=q)"),
+    ])
+    def test_necessitation_checks_the_kind_of_its_symbols(
+            self, system, conclusion, justification):
+        res = check_derivation(SYSTEMS[system], parse_script(
+            f"{TAUT1}2. {conclusion} BY {justification}"))
+        kind = "an agent" if "i=zz" in justification else "a constant"
+        assert (res.ok, res.step, res.reason) == (False, 2, f"'zz' is not {kind}")
+
+    @pytest.mark.parametrize("script, step, reason", [
+        (TAUT1 + "2. ((p | ~p) -> (p | ~p)) BY TAUT\n"
+         "3. (p | ~p) BY MP(1, 2, i=a, side=p)", 3, "MP does not read i="),
+        (TAUT1 + "2. [a](p | ~p) BY NECK(1, i=a, p=q, at=0)",
+         2, "NECK does not read prop bindings"),
+        (TAUT1 + "2. [a](p | ~p) BY NECK(1, i=a, c=c)", 2, "NECK does not read c="),
+        (TAUT1 + "2. (p | ~p) BY TAUT(1, i=a)",
+         2, "TAUT does not read step references"),
+        (TAUT1 + f"2. {DISTK_AB} BY AX(DISTK, 1, i=a, p=p, q=q)",
+         2, "AX does not read step references"),
+        (TAUT1 + "2. (p | ~p) BY SUB(1, p=p, at=0)", 2, "SUB does not read at="),
+        (IFF1 + "2. (q <-> q) BY RE(1, side=q)", 2, "RE does not read side="),
+    ])
+    def test_arguments_a_rule_does_not_read_are_rejected(self, script, step, reason):
+        res = check_derivation(SMLKVR, parse_script(script))
+        assert (res.ok, res.step, res.reason) == (False, step, reason)
+
+    @pytest.mark.parametrize("script", [
+        f"1. {DISTK_AB} BY AX(DISTK, i=a, c=d, p=p, q=q)",   # AX reads c=
+        IFF1 + "2. (q <-> q) BY RE(1)",                     # at= is optional
+    ])
+    def test_arguments_a_rule_reads_are_accepted(self, script):
+        assert check_derivation(SMLKVR, parse_script(script)).ok
 
 
 class TestDerivedNecessitation:
