@@ -32,7 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .models import FOKripkeModel, TernaryModel, derive_ternary
+from .models import (FOKripkeModel, TernaryModel, derive_ternary, related,
+                     successors)
 from .semantics import eval_ternary
 from .syntax import Formula, Neg, Prop, big_and, dia, dia_b
 
@@ -48,36 +49,13 @@ class ClauseFailure:
         return f"{self.clause} fails at ({s1}, {s2}) on {self.detail}"
 
 
-def _index(model: TernaryModel) -> tuple[dict, dict]:
-    """Successor lists per agent and state, and related pairs per
-    (agent, constant) and state, both in state order."""
-    order = {s: i for i, s in enumerate(model.states)}
-    succ = {agent: {} for agent in model.vocab.agents}
-    for agent, pairs in model.rel.items():
-        for (s, t) in pairs:
-            succ[agent].setdefault(s, []).append(t)
-    at = {}
-    for key, triples in model.tern.items():
-        slot = at.setdefault(key, {})
-        for (s, t, u) in triples:
-            slot.setdefault(s, []).append((t, u))
-    for lists in succ.values():
-        for targets in lists.values():
-            targets.sort(key=order.__getitem__)
-    for lists in at.values():
-        for pairs in lists.values():
-            pairs.sort(key=lambda p: (order[p[0]], order[p[1]]))
-    return succ, at
-
-
-def _successor_failures(vocab, index1, index2, s1, s2, z):
+def _successor_failures(vocab, view1, view2, s1, s2, z):
     """Successor-clause failures of the pair (s1, s2) against z, as
     (clause, detail) in a fixed order: per agent Zig, then Zag, then per
-    constant KvbZig and KvbZag.  index1, index2 come from _index."""
-    (succ1, at1), (succ2, at2) = index1, index2
+    constant KvbZig and KvbZag.  view1, view2 are (successors, related)."""
+    (succ1, at1), (succ2, at2) = view1, view2
     for agent in vocab.agents:
-        out1 = succ1[agent].get(s1, ())
-        out2 = succ2[agent].get(s2, ())
+        out1, out2 = succ1[agent][s1], succ2[agent][s2]
         for t1 in out1:
             if not any((t1, t2) in z for t2 in out2):
                 yield "Zig", (agent, t1)
@@ -85,8 +63,8 @@ def _successor_failures(vocab, index1, index2, s1, s2, z):
             if not any((t1, t2) in z for t1 in out1):
                 yield "Zag", (agent, t2)
         for constant in vocab.constants:
-            pairs1 = at1.get((agent, constant), {}).get(s1, ())
-            pairs2 = at2.get((agent, constant), {}).get(s2, ())
+            pairs1 = at1[(agent, constant)][s1]
+            pairs2 = at2[(agent, constant)][s2]
             for (t1, u1) in pairs1:
                 if not any((t1, t2) in z and (u1, u2) in z
                            for (t2, u2) in pairs2):
@@ -107,7 +85,7 @@ def check_bisimulation(m1: TernaryModel, m2: TernaryModel,
     for (s1, s2) in z:
         if s1 not in m1.states or s2 not in m2.states:
             raise ValueError(f"pair ({s1}, {s2}) uses unknown states")
-    index1, index2 = _index(m1), _index(m2)
+    view1, view2 = (successors(m1), related(m1)), (successors(m2), related(m2))
     failures = []
     order1 = {s: i for i, s in enumerate(m1.states)}
     order2 = {s: i for i, s in enumerate(m2.states)}
@@ -116,7 +94,7 @@ def check_bisimulation(m1: TernaryModel, m2: TernaryModel,
             failures.append(ClauseFailure("Inv", (s1, s2),
                                           (tuple(sorted(m1.val[s1])),
                                            tuple(sorted(m2.val[s2])))))
-        for clause, detail in _successor_failures(m1.vocab, index1, index2,
+        for clause, detail in _successor_failures(m1.vocab, view1, view2,
                                                   s1, s2, z):
             failures.append(ClauseFailure(clause, (s1, s2), detail))
     return failures
@@ -138,7 +116,7 @@ def greatest_bisim(m1: TernaryModel, m2: TernaryModel) -> BisimResult:
     """
     if m1.vocab != m2.vocab:
         raise ValueError("models use different vocabularies")
-    index1, index2 = _index(m1), _index(m2)
+    view1, view2 = (successors(m1), related(m1)), (successors(m2), related(m2))
     alive = {(s1, s2) for s1 in m1.states for s2 in m2.states
              if m1.val[s1] == m2.val[s2]}
     deleted: dict[tuple[str, str], tuple[int, tuple]] = {}
@@ -146,7 +124,7 @@ def greatest_bisim(m1: TernaryModel, m2: TernaryModel) -> BisimResult:
     while True:
         doomed = {}
         for (s1, s2) in alive:
-            for clause, detail in _successor_failures(m1.vocab, index1, index2,
+            for clause, detail in _successor_failures(m1.vocab, view1, view2,
                                                       s1, s2, alive):
                 doomed[(s1, s2)] = (clause,) + detail
                 break
@@ -170,7 +148,7 @@ def distinguishing_formula(m1: TernaryModel, s1: str,
     result = greatest_bisim(m1, m2)
     if (s1, s2) in result.pairs:
         return None
-    (succ1, _), (succ2, _) = _index(m1), _index(m2)
+    succ1, succ2 = successors(m1), successors(m2)
     deleted = result.deleted
 
     def out_at(pair, rnd) -> bool:
@@ -195,9 +173,9 @@ def distinguishing_formula(m1: TernaryModel, s1: str,
         rnd, reason = deleted[pair]
         kind = reason[0]
         if kind == "Zig":
-            groups = [[(reason[2], w2) for w2 in succ2[reason[1]].get(t2, ())]]
+            groups = [[(reason[2], w2) for w2 in succ2[reason[1]][t2]]]
         elif kind == "Zag":
-            groups = [[(w1, reason[2]) for w1 in succ1[reason[1]].get(t1, ())]]
+            groups = [[(w1, reason[2]) for w1 in succ1[reason[1]][t1]]]
         elif kind == "KvbZig":
             groups = [[(w1, w2) for w2 in m2.states if out_at((w1, w2), rnd)]
                       for w1 in reason[3:]]

@@ -235,7 +235,13 @@ def cmd_fuzz(args) -> int:
     return 1 if report.falsifications else 0
 
 
+MAX_GEN_STATES = 30   # above it, gen's time and memory grow steeply
+
+
 def cmd_gen(args) -> int:
+    if args.states > MAX_GEN_STATES:
+        raise ValueError(f"--states {args.states} is above the cap of "
+                         f"{MAX_GEN_STATES}")
     vocab = Vocabulary(agents=tuple(args.agents), props=tuple(args.props),
                        constants=tuple(args.constants))
     params = GenParams(vocab=vocab, num_states=args.states,

@@ -14,6 +14,8 @@ A ternary relation is well behaved when it satisfies
   INCL    (s, t, u) only relates binary successors of s
   ATEUC   (s, t, u) present and s -> v imply (s, t, v) or (s, u, v)
 
+successors and related are the one state-ordered view of a model's
+relations, read by every tool that walks them in state order.
 validate_ternary reports every violation; derive_ternary builds the
 canonical ternary relation of an FO model (successor pairs with distinct
 values).  Generators produce seeded random instances of both kinds.
@@ -135,6 +137,32 @@ def make_fo(vocab: Vocabulary, states, rel, val, domain, vc) -> FOKripkeModel:
                          domain=domain, vc=frozen_vc)
 
 
+def successors(model: Union[TernaryModel, FOKripkeModel]) -> dict:
+    """succ[agent][s]: the successors of every state s, in state order."""
+    order = {s: i for i, s in enumerate(model.states)}
+    view = {}
+    for agent, edges in model.rel.items():
+        succ = view[agent] = {s: [] for s in model.states}
+        for (s, t) in edges:
+            succ[s].append(t)
+        for targets in succ.values():
+            targets.sort(key=order.__getitem__)
+    return view
+
+
+def related(model: TernaryModel) -> dict:
+    """at[(agent, constant)][s]: the pairs (t, u) related at s, in state order."""
+    order = {s: i for i, s in enumerate(model.states)}
+    view = {}
+    for key, triples in model.tern.items():
+        at = view[key] = {s: [] for s in model.states}
+        for (s, t, u) in triples:
+            at[s].append((t, u))
+        for pairs in at.values():
+            pairs.sort(key=lambda p: (order[p[0]], order[p[1]]))
+    return view
+
+
 def validate_ternary(model: TernaryModel) -> list[Violation]:
     """All SYM, INCL and ATEUC violations, in a deterministic order.
 
@@ -142,12 +170,10 @@ def validate_ternary(model: TernaryModel) -> list[Violation]:
     where v is the uncovered successor.
     """
     order = {st: i for i, st in enumerate(model.states)}
+    succ = successors(model)
     out: list[Violation] = []
     for agent in model.vocab.agents:
         edges = model.rel[agent]
-        succ: dict[State, list[State]] = {s: [] for s in model.states}
-        for (s, t) in sorted(edges, key=lambda p: (order[p[0]], order[p[1]])):
-            succ[s].append(t)
         for constant in model.vocab.constants:
             triples = model.tern[(agent, constant)]
             ordered = sorted(triples, key=lambda tr: (order[tr[0]], order[tr[1]],
@@ -157,7 +183,7 @@ def validate_ternary(model: TernaryModel) -> list[Violation]:
                     out.append(Violation("SYM", agent, constant, (s, t, u)))
                 if (s, t) not in edges or (s, u) not in edges:
                     out.append(Violation("INCL", agent, constant, (s, t, u)))
-                for v in succ[s]:
+                for v in succ[agent][s]:
                     if (s, t, v) not in triples and (s, u, v) not in triples:
                         out.append(Violation("ATEUC", agent, constant, (s, t, u, v)))
     return out
@@ -165,17 +191,14 @@ def validate_ternary(model: TernaryModel) -> list[Violation]:
 
 def derive_ternary(model: FOKripkeModel) -> TernaryModel:
     """Value-induced ternary relation: successor pairs with distinct c-values."""
+    succ = successors(model)
     tern = {}
     for agent in model.vocab.agents:
-        edges = model.rel[agent]
-        succ: dict[State, list[State]] = {s: [] for s in model.states}
-        for (s, t) in edges:
-            succ[s].append(t)
         for constant in model.vocab.constants:
             triples = set()
             for s in model.states:
-                for t in succ[s]:
-                    for u in succ[s]:
+                for t in succ[agent][s]:
+                    for u in succ[agent][s]:
                         if model.vc[(constant, t)] != model.vc[(constant, u)]:
                             triples.add((s, t, u))
             tern[(agent, constant)] = frozenset(triples)
@@ -294,25 +317,21 @@ def generate_direct(p: GenParams) -> TernaryModel:
 # --- JSON ------------------------------------------------------------------
 
 def model_to_json(model: Union[TernaryModel, FOKripkeModel]) -> dict:
-    order = {s: i for i, s in enumerate(model.states)}
     data = {
         "vocab": {"agents": list(model.vocab.agents),
                   "props": list(model.vocab.props),
                   "constants": list(model.vocab.constants)},
         "kind": "ternary" if isinstance(model, TernaryModel) else "fo",
         "states": list(model.states),
-        "rel": {agent: sorted([list(e) for e in pairs],
-                              key=lambda e: (order[e[0]], order[e[1]]))
-                for agent, pairs in model.rel.items()},
+        "rel": {agent: [[s, t] for s in model.states for t in targets[s]]
+                for agent, targets in successors(model).items()},
         "val": {s: sorted(model.val[s], key=model.vocab.props.index)
                 for s in model.states},
     }
     if isinstance(model, TernaryModel):
-        data["tern"] = {
-            f"{agent},{constant}": sorted(
-                [list(t) for t in model.tern[(agent, constant)]],
-                key=lambda t: tuple(order[x] for x in t))
-            for agent in model.vocab.agents for constant in model.vocab.constants}
+        data["tern"] = {f"{agent},{constant}": [[s, t, u] for s in model.states
+                                                for (t, u) in at[s]]
+                        for (agent, constant), at in related(model).items()}
     else:
         data["domain"] = list(model.domain)
         data["vc"] = {f"{c},{s}": model.vc[(c, s)]

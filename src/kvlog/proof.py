@@ -307,6 +307,8 @@ def _parse_justification(num: int, formula: Formula, by: str,
         if "=" in arg and not arg.startswith("("):
             key, _, value = arg.partition("=")
             key, value = key.strip(), value.strip()
+            if not key:
+                raise ScriptError(f"unreadable argument {arg!r}", lineno)
             if key == "at":
                 try:
                     positions.append(str_to_path(value))

@@ -19,7 +19,7 @@ satisfies its conditional-Kv counterpart in the result.
 from __future__ import annotations
 
 from .models import (FOKripkeModel, TernaryModel, make_fo, make_ternary,
-                     validate_ternary)
+                     successors, validate_ternary)
 
 SEP = "/"
 TAGS = ("0", "1")
@@ -83,17 +83,13 @@ def unravel(model: TernaryModel, root: str, depth: int, *,
     if depth < 0:
         raise ValueError("depth must be non-negative")
     agents = model.vocab.agents
-    order = {s: i for i, s in enumerate(model.states)}
-    succ = {agent: {} for agent in agents}
-    for agent, pairs in model.rel.items():
-        for (s, t) in sorted(pairs, key=lambda e: order[e[1]]):
-            succ[agent].setdefault(s, []).append(t)
+    succ = successors(model)
     base = {root: root}             # path -> its last state
     kids = {}                       # (path, agent) -> its extensions
     states, frontier, levels = [root], [root], 0
     while frontier and levels < depth:
         levels += 1
-        size = sum(len(succ[agent].get(base[path], ()))
+        size = sum(len(succ[agent][base[path]])
                    for path in frontier for agent in agents)
         if len(states) + size > MAX_TREE_STATES:
             raise ValueError(f"unraveling to depth {depth} makes more than "
@@ -101,7 +97,7 @@ def unravel(model: TernaryModel, root: str, depth: int, *,
         extended = []
         for path in frontier:
             for agent in agents:
-                for t in succ[agent].get(base[path], ()):
+                for t in succ[agent][base[path]]:
                     ext = f"{path}{SEP}{agent}:{t.translate(_ESCAPE)}"
                     base[ext] = t
                     kids.setdefault((path, agent), []).append(ext)
@@ -126,23 +122,21 @@ def _tree_shape(model: TernaryModel) -> tuple:
     other state to the source and agent of its incoming edge, and kids maps
     (state, agent) to the children in state order.
     """
-    order = {s: i for i, s in enumerate(model.states)}
     parent: dict[str, str] = {}
     agent_in: dict[str, str] = {}
     kids: dict[tuple[str, str], list[str]] = {}
-    edge_count = 0
-    for agent, pairs in model.rel.items():
-        for (s, t) in sorted(pairs, key=lambda e: (order[e[0]], order[e[1]])):
-            edge_count += 1
-            if t in parent:
-                raise ValueError(f"state {t!r} has two predecessors")
-            if s == t:
-                raise ValueError(f"state {t!r} loops on itself")
-            parent[t] = s
-            agent_in[t] = agent
-            kids.setdefault((s, agent), []).append(t)
+    for agent, succ in successors(model).items():
+        for s in model.states:
+            for t in succ[s]:
+                if t in parent:
+                    raise ValueError(f"state {t!r} has two predecessors")
+                if s == t:
+                    raise ValueError(f"state {t!r} loops on itself")
+                parent[t] = s
+                agent_in[t] = agent
+            kids[(s, agent)] = succ[s]
     roots = [s for s in model.states if s not in parent]
-    if len(roots) != 1 or edge_count != len(model.states) - 1:
+    if len(roots) != 1:
         raise ValueError("model is not a rooted tree")
     return roots[0], parent, agent_in, kids
 

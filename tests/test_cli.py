@@ -13,7 +13,7 @@ import time
 import pytest
 
 from kvlog import semantics
-from kvlog.cli import MAX_WORKERS, build_parser, main
+from kvlog.cli import MAX_GEN_STATES, MAX_WORKERS, build_parser, main
 from kvlog.models import derive_ternary, load_model
 from kvlog.proof import SMLKVR, soundness_fuzz
 
@@ -416,6 +416,22 @@ class TestProve:
         assert err == "error: line 2: i= is given twice\n"
 
 
+    @pytest.mark.parametrize("lines, arg", [
+        (["([a](p -> q) -> ([a]p -> [a]q)) BY AX(DISTK, i=a, p=p, q=q, =r)"],
+         "=r"),
+        (["(p | ~p) BY TAUT", "[a](p | ~p) BY NECK(1, i=a, =q)"], "=q"),
+        (["(p | ~p) BY TAUT", "(q | ~q) BY SUB(1, =q)"], "=q"),
+    ])
+    def test_argument_without_a_name_is_a_usage_error(
+            self, capsys, tmp_path, lines, arg):
+        script = tmp_path / "nameless.kvp"
+        script.write_text("".join(f"{k}. {line}\n"
+                                  for k, line in enumerate(lines, 1)))
+        rc, out, err = run(capsys, "prove", "SMLKVr", str(script))
+        assert (rc, out) == (2, "")
+        assert err == f"error: line {len(lines)}: unreadable argument {arg!r}\n"
+
+
 class TestDeepInputs:
     OPERANDS = 3000
 
@@ -607,6 +623,20 @@ class TestGen:
     def test_invalid_sizes_are_usage_errors(self, capsys):
         rc, _, err = run(capsys, "gen", "--states", "0")
         assert rc == 2 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("kind", ["value", "direct"])
+    def test_state_count_above_the_cap_is_a_usage_error(self, capsys, kind):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "gen", "--kind", kind, "--density", "1",
+                           "--values", "1000", "--states", str(MAX_GEN_STATES + 1))
+        assert time.perf_counter() - start < 1.0
+        assert (rc, out) == (2, "")
+        assert err == (f"error: --states {MAX_GEN_STATES + 1} is above the cap "
+                       f"of {MAX_GEN_STATES}\n")
+        rc, out, _ = run(capsys, "gen", "--kind", kind, "--json",
+                         "--states", str(MAX_GEN_STATES))
+        assert rc == 0
+        assert len(json.loads(out)["model"]["states"]) == MAX_GEN_STATES
 
 
 class TestParserReuse:

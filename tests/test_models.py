@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kvlog.bisim import check_bisimulation
 from kvlog.models import (GenParams, derive_ternary, dump_model,
                           generate_direct, generate_value_induced,
                           json_to_model, load_model, make_fo, make_ternary,
-                          model_to_json, validate_ternary)
+                          model_to_json, related, successors,
+                          validate_ternary)
 from kvlog.syntax import Vocabulary
 
 from oracles import oracle_violations
@@ -175,6 +177,79 @@ class TestSerialization:
         dump_model(m, str(path))
         back, _ = load_model(str(path))
         assert back == m
+
+
+class TestStateOrderedView:
+    """States listed out of name order: every ordered output follows the
+    tuple ("s10", "s2", "s0", "s1"), not the names."""
+    VOCAB = Vocabulary(("a", "b"), ("p",), ("c",))
+    STATES = ("s10", "s2", "s0", "s1")
+    REL = {"a": {("s1", "s0"), ("s1", "s10"), ("s0", "s2"), ("s0", "s1"),
+                 ("s2", "s10"), ("s2", "s2"), ("s10", "s1"), ("s10", "s0"),
+                 ("s10", "s2")},
+           "b": {("s0", "s10"), ("s2", "s1"), ("s2", "s0")}}
+    TERN = {("a", "c"): {("s10", "s1", "s0"), ("s10", "s0", "s1"),
+                         ("s10", "s2", "s1"), ("s10", "s1", "s2"),
+                         ("s1", "s10", "s0"), ("s1", "s0", "s10"),
+                         ("s2", "s2", "s10"), ("s2", "s10", "s2")},
+            ("b", "c"): {("s2", "s1", "s0"), ("s2", "s0", "s1")}}
+    SUCC = {"a": {"s10": ["s2", "s0", "s1"], "s2": ["s10", "s2"],
+                  "s0": ["s2", "s1"], "s1": ["s10", "s0"]},
+            "b": {"s10": [], "s2": ["s0", "s1"], "s0": ["s10"], "s1": []}}
+
+    def model(self):
+        return make_ternary(self.VOCAB, self.STATES, self.REL, self.TERN,
+                            {"s10": {"p"}, "s0": {"p"}})
+
+    def test_successors_of_both_model_kinds(self):
+        fo = make_fo(self.VOCAB, self.STATES, self.REL, {}, ["v"],
+                     {("c", s): "v" for s in self.STATES})
+        for m in (self.model(), fo):
+            view = successors(m)
+            assert view == self.SUCC
+            assert [list(view[agent]) for agent in "ab"] == [list(self.STATES)] * 2
+
+    def test_related(self):
+        view = related(self.model())
+        assert view == {
+            ("a", "c"): {"s10": [("s2", "s1"), ("s0", "s1"), ("s1", "s2"),
+                                 ("s1", "s0")],
+                         "s2": [("s10", "s2"), ("s2", "s10")], "s0": [],
+                         "s1": [("s10", "s0"), ("s0", "s10")]},
+            ("b", "c"): {"s10": [], "s2": [("s0", "s1"), ("s1", "s0")],
+                         "s0": [], "s1": []}}
+        assert list(view[("a", "c")]) == list(self.STATES)
+
+    def test_json_lists_follow_the_state_order(self):
+        data = model_to_json(self.model())
+        assert data["rel"] == {
+            "a": [["s10", "s2"], ["s10", "s0"], ["s10", "s1"], ["s2", "s10"],
+                  ["s2", "s2"], ["s0", "s2"], ["s0", "s1"], ["s1", "s10"],
+                  ["s1", "s0"]],
+            "b": [["s2", "s0"], ["s2", "s1"], ["s0", "s10"]]}
+        assert data["tern"] == {
+            "a,c": [["s10", "s2", "s1"], ["s10", "s0", "s1"],
+                    ["s10", "s1", "s2"], ["s10", "s1", "s0"],
+                    ["s2", "s10", "s2"], ["s2", "s2", "s10"],
+                    ["s1", "s10", "s0"], ["s1", "s0", "s10"]],
+            "b,c": [["s2", "s0", "s1"], ["s2", "s1", "s0"]]}
+
+    def test_bisimulation_failures_follow_the_state_order(self):
+        m = self.model()
+        assert validate_ternary(m) == []
+        assert [f.describe() for f in check_bisimulation(m, m, {("s2", "s1")})] == [
+            "Zig fails at (s2, s1) on ('a', 's10')",
+            "Zig fails at (s2, s1) on ('a', 's2')",
+            "Zag fails at (s2, s1) on ('a', 's10')",
+            "Zag fails at (s2, s1) on ('a', 's0')",
+            "KvbZig fails at (s2, s1) on ('a', 'c', 's10', 's2')",
+            "KvbZig fails at (s2, s1) on ('a', 'c', 's2', 's10')",
+            "KvbZag fails at (s2, s1) on ('a', 'c', 's10', 's0')",
+            "KvbZag fails at (s2, s1) on ('a', 'c', 's0', 's10')",
+            "Zig fails at (s2, s1) on ('b', 's0')",
+            "Zig fails at (s2, s1) on ('b', 's1')",
+            "KvbZig fails at (s2, s1) on ('b', 'c', 's0', 's1')",
+            "KvbZig fails at (s2, s1) on ('b', 'c', 's1', 's0')"]
 
 
 def json_paths(node, path=()):
