@@ -415,7 +415,6 @@ class TestProve:
         assert (rc, out) == (2, "")
         assert err == "error: line 2: i= is given twice\n"
 
-
     @pytest.mark.parametrize("lines, arg", [
         (["([a](p -> q) -> ([a]p -> [a]q)) BY AX(DISTK, i=a, p=p, q=q, =r)"],
          "=r"),
