@@ -28,11 +28,11 @@ counterexample_state are one-formula uses of it: the first tests one bit
 of the root's mask, the second takes its lowest zero bit.
 
 find_countermodel enumerates pointed ternary models in a fixed order
-(state count, valuations, edges, triple sets; SYM and INCL hold by
-construction, ATEUC failures are discarded) and returns the first one
-falsifying the formula.  It runs the same program: the static
-instructions, which do not depend on the ternary relation, once per edge
-choice, and the dynamic ones once per triple choice.
+(state count, valuations, edges, triple sets; every frame condition holds
+by construction, see _pair_tables) and returns the first one falsifying
+the formula.  It runs the same program: the static instructions, which
+do not depend on the ternary relation, once per edge choice, and the
+dynamic ones once per triple choice.
 """
 
 from __future__ import annotations
@@ -278,36 +278,35 @@ def _layout(model: TernaryModel, symbols) -> tuple[int, list, list, list]:
 @functools.cache
 def _pair_tables(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
     """For every successor set (as a bitmask over n states, the index), the
-    ATEUC-valid SYM pair sets, in the order induced by enumerate-then-discard.
+    SYM pair sets that satisfy ATEUC, each with both orientations of its pairs.
 
-    Pairs (t, u) with t <= u over the successor set are listed
-    lexicographically; subsets follow ascending bit patterns (bit j is
-    pair j).  Filtering a product factor preserves product order, so
-    iterating only the survivors visits exactly the models the naive
-    enumeration would keep, in the same order.  Each surviving set is
-    listed with both orientations of its pairs.  Built once per n in each
-    process, and immutable, since every search shares it.
+    Read (t, u) as "t and u disagree on c": SYM and ATEUC then say that the
+    pairs not related form a partial equivalence on the successors.  So the
+    valid sets over m successors are the set partitions of the successors
+    plus one extra item, whose block holds the successors that disagree
+    with themselves: (t, u) is related iff t and u lie in different blocks
+    or both in the extra item's.  The partitions come as restricted growth
+    strings, with the extra item last.  Each table follows ascending bit
+    patterns over the pairs (t, u), t <= u, listed lexicographically (bit j
+    is pair j), the order of enumerating every subset and keeping the valid
+    ones.  Built once per n in each process, and immutable, since every
+    search shares it.
     """
+    strings = [[(0,)]]              # strings[m]: the ones of length m + 1
+    for _ in range(n):
+        strings.append([s + (b,) for s in strings[-1] for b in range(max(s) + 2)])
     tables = []
     for mask in range(1 << n):
         members = [i for i in range(n) if mask >> i & 1]
-        pairs = [(t, u) for i, t in enumerate(members) for u in members[i:]]
-        good = []
-        for bits in range(1 << len(pairs)):
-            chosen = frozenset(pairs[j] for j in range(len(pairs)) if bits >> j & 1)
-            ok = True
-            for (t, u) in chosen:
-                for v in members:
-                    a = (t, v) if t <= v else (v, t)
-                    b = (u, v) if u <= v else (v, u)
-                    if a not in chosen and b not in chosen:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                good.append(tuple(sorted(chosen | {(u, t) for (t, u) in chosen})))
-        tables.append(tuple(good))
+        pairs = list(itertools.combinations_with_replacement(range(len(members)), 2))
+        rows = []
+        for bits in sorted(sum(1 << j for j, (i, k) in enumerate(pairs)
+                               if block[i] != block[k] or block[i] == block[-1])
+                           for block in strings[len(members)]):
+            chosen = {(members[i], members[k])
+                      for j, (i, k) in enumerate(pairs) if bits >> j & 1}
+            rows.append(tuple(sorted(chosen | {(u, t) for (t, u) in chosen})))
+        tables.append(tuple(rows))
     return tuple(tables)
 
 

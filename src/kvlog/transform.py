@@ -118,12 +118,11 @@ def unravel(model: TernaryModel, root: str, depth: int, *,
 def _tree_shape(model: TernaryModel) -> tuple:
     """Check the input is a tree with agent-unique incoming edges.
 
-    Returns (root, parent, agent_in, kids): parent and agent_in map every
-    other state to the source and agent of its incoming edge, and kids maps
-    (state, agent) to the children in state order.
+    Returns (root, parent, kids): parent maps every other state to the
+    source of its incoming edge, and kids maps (state, agent) to the
+    children in state order.
     """
     parent: dict[str, str] = {}
-    agent_in: dict[str, str] = {}
     kids: dict[tuple[str, str], list[str]] = {}
     for agent, succ in successors(model).items():
         for s in model.states:
@@ -133,12 +132,19 @@ def _tree_shape(model: TernaryModel) -> tuple:
                 if s == t:
                     raise ValueError(f"state {t!r} loops on itself")
                 parent[t] = s
-                agent_in[t] = agent
             kids[(s, agent)] = succ[s]
     roots = [s for s in model.states if s not in parent]
     if len(roots) != 1:
         raise ValueError("model is not a rooted tree")
-    return roots[0], parent, agent_in, kids
+    reached = roots[:]              # no state has two parents, so no repeats
+    for s in reached:
+        for agent in model.rel:
+            reached += kids[(s, agent)]
+    unreached = set(model.states).difference(reached)
+    if unreached:
+        missed = next(s for s in model.states if s in unreached)
+        raise ValueError(f"state {missed!r} is not reachable from the root")
+    return roots[0], parent, kids
 
 
 def assign_values(model: TernaryModel) -> tuple[FOKripkeModel, str]:
@@ -147,15 +153,14 @@ def assign_values(model: TernaryModel) -> tuple[FOKripkeModel, str]:
     Two siblings through the same agent are glued on c when no triple
     relates the earlier to the later one (state order) on c, and each
     class of the glued pairs of a sibling group is named after its least
-    member.  The gluing must already be transitive: if two members of one
-    class are related, or a triple relates two states of one class, the
-    input was not produced by the split-unravel pipeline and a ValueError
-    is raised.  Triples relating a state to itself or not joining a state
-    to two of its children are rejected for the same reason.
+    member.  The input must come from the split-unravel pipeline, so a
+    ValueError is raised when a triple relates two states of one class,
+    relates a state to itself, or does not join a state to two of its
+    children.
 
     Returns the model and its root.
     """
-    root, parent, agent_in, kids = _tree_shape(model)
+    root, parent, kids = _tree_shape(model)
     order = {s: i for i, s in enumerate(model.states)}
     consts = model.vocab.constants
 
@@ -192,12 +197,6 @@ def assign_values(model: TernaryModel) -> tuple[FOKripkeModel, str]:
     for c in consts:
         for s in model.states:
             classes.setdefault((c, label.get((c, s), s)), []).append(s)
-    for (c, _), members in classes.items():
-        for i, t in enumerate(members):
-            for u in members[i + 1:]:
-                if (parent[t], t, u) in model.tern[(agent_in[t], c)]:
-                    raise ValueError(f"value identification for {c!r} is not "
-                                     f"transitive at ({t}, {u})")
 
     vc = {(c, s): f"{c}@{leader}"
           for (c, leader), members in classes.items() for s in members}

@@ -214,3 +214,35 @@ def enumerate_small_models(vocab, states, props):
                 if vmask >> k & 1:
                     val.setdefault(s, set()).add(p)
             yield build_model(vocab, states, edges, triples, val)
+
+
+def oracle_pair_tables(n):
+    """For every successor set (as a bitmask over n states, the index), the
+    ATEUC-valid SYM pair sets, in the order induced by enumerate-then-discard.
+
+    Pairs (t, u) with t <= u over the successor set are listed
+    lexicographically; subsets follow ascending bit patterns (bit j is
+    pair j), and every subset failing ATEUC is dropped.  Each surviving
+    set is listed with both orientations of its pairs.
+    """
+    tables = []
+    for mask in range(1 << n):
+        members = [i for i in range(n) if mask >> i & 1]
+        pairs = [(t, u) for i, t in enumerate(members) for u in members[i:]]
+        good = []
+        for bits in range(1 << len(pairs)):
+            chosen = frozenset(pairs[j] for j in range(len(pairs)) if bits >> j & 1)
+            ok = True
+            for (t, u) in chosen:
+                for v in members:
+                    a = (t, v) if t <= v else (v, t)
+                    b = (u, v) if u <= v else (v, u)
+                    if a not in chosen and b not in chosen:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                good.append(tuple(sorted(chosen | {(u, t) for (t, u) in chosen})))
+        tables.append(tuple(good))
+    return tuple(tables)

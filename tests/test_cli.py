@@ -7,15 +7,19 @@ and the exact text or JSON it emits, so the CLI contract stays frozen.
 from __future__ import annotations
 
 import concurrent.futures
+import copy
 import json
+import random
+import re
 import time
 
 import pytest
 
 from kvlog import semantics
 from kvlog.cli import MAX_GEN_STATES, MAX_WORKERS, build_parser, main
-from kvlog.models import derive_ternary, load_model
+from kvlog.models import derive_ternary, load_model, model_to_json
 from kvlog.proof import SMLKVR, soundness_fuzz
+from kvlog.transform import to_fo
 
 
 def run(capsys, *args):
@@ -705,3 +709,108 @@ class TestArgparseContract:
             f"got '{MAX_WORKERS + 1}'\n")
         args = build_parser().parse_args(command + ["--workers", str(MAX_WORKERS)])
         assert args.workers == MAX_WORKERS
+
+
+class TestExitCodeContract:
+    """Seeded mutants of the shipped formulas, model files and proof
+    scripts go through every subcommand: each call exits 0, 1 or 2, and no
+    exception escapes main."""
+
+    JUNK = (None, -1, 2.5, True, "", "zz", [], {}, [["s", "t", "t"]])
+
+    @staticmethod
+    def mutate_text(rng, text):
+        """One or two token edits, each to a word token half the time: drop
+        a token, double it, or replace it by another token of the text of
+        the same kind (word or symbol)."""
+        parts = re.split(r"(\w+|<->|->|\S)", text)   # tokens at odd indices
+        words = [i for i in range(1, len(parts), 2) if parts[i].isalnum()]
+        for _ in range(rng.randint(1, 2)):
+            i = (rng.choice(words) if words and rng.random() < 0.5
+                 else rng.randrange(1, len(parts), 2))
+            same = [t for t in parts[1::2] if t.isalnum() == parts[i].isalnum()]
+            parts[i] = rng.choice(("", parts[i] * 2, rng.choice(same)))
+        return "".join(parts)
+
+    @classmethod
+    def mutate_json(cls, rng, data):
+        """A copy of data with one node dropped, or replaced by a copy of
+        another node of data or by junk."""
+        data = copy.deepcopy(data)
+        slots, stack = [], [data]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (dict, list)):
+                keys = list(node) if isinstance(node, dict) else range(len(node))
+                slots += [(node, key) for key in keys]
+                stack += [node[key] for key in keys]
+        (node, key), (other, at) = rng.choice(slots), rng.choice(slots)
+        kind = rng.randrange(4)
+        if kind == 0:
+            del node[key]
+        else:
+            node[key] = copy.deepcopy(rng.choice(cls.JUNK) if kind == 1 else other[at])
+        return data
+
+    @classmethod
+    def calls(cls, rng, tmp_path, models_dir, proofs_dir, left_model):
+        left = str(models_dir / "binary_vs_unary_left.json")
+        right = str(models_dir / "binary_vs_unary_right.json")
+        texts = [path.read_text(encoding="utf-8")
+                 for path in sorted(proofs_dir.glob("**/*.kvp"))]
+        formulas = [line.split(". ", 1)[1].split(" BY ")[0]
+                    for text in texts for line in text.splitlines()
+                    if line[:1].isdigit()]
+        systems = ["SMLKVr", "SMLKVb", "SMLKV"]
+        for _ in range(150):
+            f = cls.mutate_text(rng, rng.choice(formulas))
+            yield from (["parse", "--json", f], ["reduce", f],
+                        ["translate", "--dir", "elkv2ml", f],
+                        ["translate", "--dir", "ml2elkv", f],
+                        ["refute", "--max-states", "2", "--budget", "300", f],
+                        ["check", left, "s", f], ["valid", "--json", left, f])
+        sources = [json.loads(path.read_text(encoding="utf-8"))
+                   for path in sorted(models_dir.glob("*.json"))]
+        sources.append(model_to_json(to_fo(left_model, "s", 1)[0]))
+        for k in range(150):
+            path, source = tmp_path / f"model{k}.json", rng.choice(sources)
+            path.write_text(cls.mutate_text(rng, json.dumps(source))
+                            if k % 4 == 3 else
+                            json.dumps(cls.mutate_json(rng, source)),
+                            encoding="utf-8")
+            model, state = str(path), rng.choice(source["states"] + ["zz"])
+            f = rng.choice(("<a>^c p", "[a]^c(p, q)", "(<a>p -> <a>^c p)",
+                            "Kv[a](p, c)"))
+            yield from (["validate", model], ["check", model, state, f],
+                        ["valid", model, f], ["convert", model, "--to", "ternary"],
+                        ["convert", model, "--to", "fo", "--root", state],
+                        ["bisim", model, state, right, "x"],
+                        ["bisim", "--json", left, "s", model, state])
+        for k in range(60):
+            path = tmp_path / f"script{k}.kvp"
+            path.write_text(cls.mutate_text(rng, rng.choice(texts)),
+                            encoding="utf-8")
+            yield ["prove", "--json", rng.choice(systems), str(path)]
+        for _ in range(30):
+            yield ["fuzz", rng.choice(systems + ["SMLKVx", ""]), "--trials",
+                   str(rng.randint(-1, 2)), "--seed", str(rng.randint(-5, 5))]
+            yield ["gen", "--kind", rng.choice(("value", "direct")),
+                   "--states", str(rng.randint(0, 5)),
+                   "--density", str(rng.choice((0, 0.3, 1, 1.5))),
+                   "--values", str(rng.randint(0, 3)),
+                   "--agents", *rng.sample(["a", "b", "a", ""], 2)]
+
+    def test_mutated_inputs_exit_0_1_or_2(self, capsys, tmp_path, models_dir,
+                                          proofs_dir, left_model):
+        codes: dict[str, set] = {}
+        for argv in self.calls(random.Random(2016), tmp_path, models_dir,
+                               proofs_dir, left_model):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:   # argparse's usage errors
+                rc = exc.code
+            capsys.readouterr()
+            assert rc in (0, 1, 2), argv
+            codes.setdefault(argv[0], set()).add(rc)
+        # all 12 subcommands got mutants past their input checks, and some not
+        assert len(codes) == 12 and all(2 in c and c - {2} for c in codes.values())

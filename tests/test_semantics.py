@@ -13,7 +13,8 @@ from kvlog.syntax import (And, BBoxB, BBoxU, Box, KvCond, LanguageError, Neg,
                           Prop, Top, Vocabulary, bot, parse, random_formula,
                           translate_T)
 
-from oracles import enumerate_small_models, oracle_eval, oracle_eval_fo
+from oracles import (enumerate_small_models, oracle_eval, oracle_eval_fo,
+                     oracle_pair_tables)
 
 VOC = Vocabulary(("a",), ("p", "q"), ("c",))
 
@@ -274,6 +275,15 @@ class TestFindCountermodel:
         assert _pair_tables(3) is _pair_tables(3)
         assert isinstance(_pair_tables(3), tuple)
         assert all(isinstance(row, tuple) for row in _pair_tables(3))
+
+    def test_pair_tables_equal_the_subset_filtering_oracle(self):
+        for n in range(1, 6):
+            assert _pair_tables(n) == oracle_pair_tables(n)
+
+    def test_full_successor_set_has_bell_many_pair_sets(self):
+        # Bell(n + 1): the set partitions of n successors and one extra item
+        assert ([len(_pair_tables(n)[-1]) for n in range(1, 8)]
+                == [2, 5, 15, 52, 203, 877, 4140])
 
     def test_budget_guard(self):
         f = parse("([a]^c(p, q) -> [a]^c(q, p))", VOC)

@@ -219,10 +219,13 @@ class TestAssignValues:
         # x~y and y~z are glued, x and z are related
         (("r", "x", "y", "z"), FORK,
          {("a", "c"): {("r", "x", "z"), ("r", "z", "x")}},
-         "value identification for 'c' is not transitive at (x, z)"),
+         "related pair (x, z) got one value for 'c'"),
         # only the later-to-earlier orientation is related, so x~y is glued
         (("r", "x", "y", "z"), FORK, {("a", "c"): {("r", "y", "x")}},
          "related pair (y, x) got one value for 'c'"),
+        # one parentless state and n - 1 edges, but x and y form a cycle
+        (("r", "x", "y"), {"a": {("x", "y"), ("y", "x")}}, {},
+         "state 'x' is not reachable from the root"),
     ])
     def test_rejections_name_the_first_offender(self, states, rel, tern,
                                                 message):
