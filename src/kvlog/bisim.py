@@ -114,9 +114,14 @@ def greatest_bisim(m1: TernaryModel, m2: TernaryModel) -> BisimResult:
     Each round removes every pair violating a successor clause against
     the current relation; reasons are recorded for formula replay.
     """
+    return _refine(m1, m2, (successors(m1), related(m1)),
+                   (successors(m2), related(m2)))
+
+
+def _refine(m1: TernaryModel, m2: TernaryModel, view1, view2) -> BisimResult:
+    """greatest_bisim on the (successors, related) views of m1 and m2."""
     if m1.vocab != m2.vocab:
         raise ValueError("models use different vocabularies")
-    view1, view2 = (successors(m1), related(m1)), (successors(m2), related(m2))
     alive = {(s1, s2) for s1 in m1.states for s2 in m2.states
              if m1.val[s1] == m2.val[s2]}
     deleted: dict[tuple[str, str], tuple[int, tuple]] = {}
@@ -145,10 +150,10 @@ def distinguishing_formula(m1: TernaryModel, s1: str,
                in ((s1, m1, "first"), (s2, m2, "second")) if s not in m.states]
     if unknown:
         raise ValueError(f"unknown state {' and '.join(unknown)}")
-    result = greatest_bisim(m1, m2)
+    succ1, succ2 = successors(m1), successors(m2)
+    result = _refine(m1, m2, (succ1, related(m1)), (succ2, related(m2)))
     if (s1, s2) in result.pairs:
         return None
-    succ1, succ2 = successors(m1), successors(m2)
     deleted = result.deleted
 
     def out_at(pair, rnd) -> bool:

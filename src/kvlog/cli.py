@@ -188,9 +188,8 @@ def cmd_prove(args) -> int:
     payload = {"ok": result.ok, "steps": len(d.steps),
                "conclusion": print_formula(d.conclusion())}
     if result.ok:
-        _emit(args, payload,
-              [f"accepted: {len(d.steps)} steps, conclusion "
-               f"{print_formula(d.conclusion())}"])
+        _emit(args, payload, [f"accepted: {len(d.steps)} steps, "
+                              f"conclusion {payload['conclusion']}"])
         return 0
     payload.update({"step": result.step, "reason": result.reason})
     _emit(args, payload, [result.describe()])

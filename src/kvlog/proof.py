@@ -37,9 +37,9 @@ from .models import GenParams, TernaryModel, generate_direct, \
     generate_value_induced
 from .semantics import IndexedModel
 from .syntax import (And, BBoxB, BBoxU, Box, Formula, Neg, Path, Prop, Top,
-                     Vocabulary, children, f_or, fold, iff, imp, occurrences,
-                     parse, print_formula, random_formula, rebuild, replace_at,
-                     split_iff, str_to_path, substitute, subterms)
+                     Vocabulary, children, f_or, fold, iff, imp, memo_parser,
+                     occurrences, parse, print_formula, random_formula, rebuild,
+                     replace_at, split_iff, str_to_path, substitute, subterms)
 
 TAUT_ATOM_LIMIT = 12
 
@@ -257,6 +257,7 @@ def _parse_vocab_line(body: str, lineno: int) -> Vocabulary:
 
 def parse_script(text: str) -> Derivation:
     vocab = DEFAULT_SCRIPT_VOCAB
+    read = memo_parser(vocab)       # every formula of the script, one memo
     steps: list[Step] = []
     expected = 1
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -268,6 +269,7 @@ def parse_script(text: str) -> Derivation:
             if steps:
                 raise ScriptError("vocab line must precede the steps", lineno)
             vocab = _parse_vocab_line(vm.group(1), lineno)
+            read = memo_parser(vocab)
             continue
         sm = _STEP_RE.match(line)
         if not sm:
@@ -282,10 +284,10 @@ def parse_script(text: str) -> Derivation:
             raise ScriptError("step lacks a BY justification", lineno)
         formula_text, by = rest.rsplit(" BY ", 1)
         try:
-            formula = parse(formula_text.strip(), vocab)
+            formula = read(formula_text.strip())
         except Exception as exc:
             raise ScriptError(f"bad formula: {exc}", lineno) from None
-        steps.append(_parse_justification(num, formula, by.strip(), vocab,
+        steps.append(_parse_justification(num, formula, by.strip(), read,
                                           lineno))
     if not steps:
         raise ScriptError("script has no steps", 0)
@@ -293,7 +295,7 @@ def parse_script(text: str) -> Derivation:
 
 
 def _parse_justification(num: int, formula: Formula, by: str,
-                         vocab: Vocabulary, lineno: int) -> Step:
+                         read: Callable[[str], Formula], lineno: int) -> Step:
     m = _re.match(r"^([A-Z]+)\s*(?:\((.*)\))?\s*$", by)
     if not m:
         raise ScriptError(f"unreadable justification {by!r}", lineno)
@@ -319,7 +321,7 @@ def _parse_justification(num: int, formula: Formula, by: str,
                 raise ScriptError(f"{key}= is given twice", lineno)
             if key not in symbols:
                 try:
-                    value = parse(value, vocab)
+                    value = read(value)
                 except Exception as exc:
                     raise ScriptError(f"bad value for {key}: {exc}",
                                       lineno) from None

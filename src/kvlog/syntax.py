@@ -10,7 +10,10 @@ Four languages share one AST:
 
 Only eight constructors are stored: Top, Prop, Neg, And, Box, KvCond,
 BBoxU, BBoxB.  Everything else (F, |, ->, <->, diamonds) is sugar that
-the parser desugars and the printer restores.
+the parser desugars and the printer restores.  The parser tokenizes a
+text in one regex pass and finds a token's column only for a ParseError;
+memo_parser, which reads the formulas of a proof script, parses each
+repeated parenthesized group once and shares its Formula.
 
 Formulas share subterms (the sides of <->, reduce_r's phi and psi), so a
 tree can be exponentially larger than its graph.  Whole-formula functions
@@ -25,9 +28,11 @@ which still goes through __reduce__ once per level.
 from __future__ import annotations
 
 import re
+from contextlib import suppress
 from dataclasses import dataclass, fields
 from functools import reduce
-from typing import Iterable, Mapping, Optional
+from itertools import accumulate, islice, repeat
+from typing import Callable, Iterable, Mapping, Optional
 
 
 class KvlogError(Exception):
@@ -373,201 +378,200 @@ def first_in_preorder(f: Formula, pred) -> Optional[Formula]:
 
 # --- tokenizer -------------------------------------------------------------
 
-_SINGLE = {
-    "~": "TILDE", "&": "AMP", "|": "PIPE", "(": "LPAR", ")": "RPAR",
-    "[": "LBRK", "]": "RBRK", ">": "RANG", "^": "CARET", ",": "COMMA",
-}
-# Token kinds by group of _TOKEN_RE, tried in order; None for _SINGLE.
-_TOKEN_KINDS = ("IFF", "ARROW", "LANG", "TOP", "BOT", "KV", None, "IDENT")
-_TOKEN_RE = re.compile(r"(<->)|(->)|(<)|(T)|(F)|(Kv)|([~&|()\[\]>^,])|([a-z][a-z0-9_]*)")
+# Token kinds by text, named in error messages; a token not listed is an
+# identifier, and "" ends the token list.
+_KINDS = {"<->": "IFF", "->": "ARROW", "<": "LANG", "T": "TOP", "F": "BOT",
+          "Kv": "KV", "~": "TILDE", "&": "AMP", "|": "PIPE", "(": "LPAR",
+          ")": "RPAR", "[": "LBRK", "]": "RBRK", ">": "RANG", "^": "CARET",
+          ",": "COMMA", "": "EOF"}
+_BLANKS = " \t\r\n"
+# _BLANKS, then the first token that matches, in _KINDS order, identifiers
+# last; any other character is a token of its own that _Parser rejects.
+_TOKEN_RE = re.compile(r"[ \t\r\n]*(<->|->|<|T|F|Kv|[~&|()\[\]>^,]|[a-z][a-z0-9_]*|.)")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        if text[i] in " \t\r\n":
-            i += 1
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if not m:
-            raise ParseError(f"unexpected character {text[i]!r}", i, text)
-        toks.append((_TOKEN_KINDS[m.lastindex - 1] or _SINGLE[m.group()],
-                     m.group(), i))
-        i = m.end()
-    toks.append(("EOF", "", n))
-    return toks
-
-
-class _InferredVocab:
-    """Collects identifier roles while parsing without a vocabulary."""
-
-    def __init__(self):
-        self.roles: dict[str, str] = {}
-        self.order: dict[str, list[str]] = {"agent": [], "prop": [], "constant": []}
-
-    def claim(self, name: str, role: str, pos: int, text: str) -> None:
-        old = self.roles.get(name)
-        if old is None:
-            self.roles[name] = role
-            self.order[role].append(name)
-        elif old != role:
-            raise ParseError(f"{name!r} used both as {old} and {role}", pos, text)
-
-    def build(self) -> Vocabulary:
-        def pad(kind: str, pool: str) -> tuple[str, ...]:
-            names = self.order[kind]
-            if names:
-                return tuple(names)
-            for cand in pool:
-                if cand not in self.roles:
-                    return (cand,)
+def _inferred_vocab(roles: dict[str, str]) -> Vocabulary:
+    """The names of each role in order of first use, padded as parse_infer says."""
+    def pad(kind: str, pool: str) -> tuple[str, ...]:
+        names = tuple(name for name, role in roles.items() if role == kind)
+        filler = next((cand for cand in pool if cand not in roles), None)
+        if not names and filler is None:
             raise ValueError("cannot pick a filler symbol")
+        return names or (filler,)
 
-        return Vocabulary(agents=pad("agent", "abijk"),
-                          props=pad("prop", "pqxyz"),
-                          constants=pad("constant", "cdefg"))
+    return Vocabulary(agents=pad("agent", "abijk"), props=pad("prop", "pqxyz"),
+                      constants=pad("constant", "cdefg"))
 
 
 class _Parser:
-    def __init__(self, text: str, vocab: Optional[Vocabulary]):
-        self.text = text
-        self.toks = _tokenize(text)
-        self.pos = 0
-        self.depth = 0
+    def __init__(self, text: str, vocab: Optional[Vocabulary],
+                 memo: Optional[dict] = None):
+        # one regex pass; text.rstrip leaves no blanks after the last token
+        self.toks = toks = _TOKEN_RE.findall(text.rstrip(_BLANKS)) + [""]
+        self.text, self.pos, self.depth = text, 0, 0
+        bad = {t for t in set(toks).difference(_KINDS) if not "a" <= t[0] <= "z"}
+        if bad:
+            k = next(k for k, t in enumerate(toks) if t in bad)
+            self.fail(f"unexpected character {toks[k]!r}", k)
+        self.deepest = 0      # the most self.depth any unary call has met
         self.vocab = vocab
-        self.infer = None if vocab is not None else _InferredVocab()
+        self.roles = None if vocab is not None else {}   # name -> role, inferred
+        self.memo = memo      # group text -> (Formula, nesting below it)
+        if memo is not None:  # parenthesis depth after each token
+            self.levels = list(accumulate(map({"(": 1, ")": -1}.get, toks, repeat(0))))
 
-    def peek(self, ahead: int = 0) -> tuple[str, str, int]:
-        return self.toks[self.pos + ahead]  # parsing stops at EOF
+    def fail(self, msg: str, k: Optional[int] = None):
+        """Raise msg at token k, by default the current one; finds its column."""
+        tokens = _TOKEN_RE.finditer(self.text.rstrip(_BLANKS))
+        m = next(islice(tokens, self.pos if k is None else k, None), None)
+        raise ParseError(msg, len(self.text) if m is None else m.start(1), self.text)
 
-    def take(self, kind: str) -> tuple[str, str, int]:
-        tok = self.toks[self.pos]
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2], self.text)
+    def expect(self, tok: str) -> None:
+        if self.toks[self.pos] != tok:
+            self.fail(f"expected {_KINDS[tok]}, found {self.toks[self.pos]!r}")
         self.pos += 1
-        return tok
 
     def name(self, role: str) -> str:
-        kind, value, at = self.take("IDENT")
+        value = self.toks[self.pos]
+        if value in _KINDS:
+            self.fail(f"expected IDENT, found {value!r}")
         if self.vocab is not None:
             actual = self.vocab.kind_of(value)
             if actual != role:
-                what = actual or "undeclared symbol"
-                raise ParseError(f"{value!r} is {what}, expected a {role}", at, self.text)
-        else:
-            self.infer.claim(value, role, at, self.text)
+                self.fail(f"{value!r} is {actual or 'undeclared symbol'}, expected a {role}")
+        elif (old := self.roles.setdefault(value, role)) != role:
+            self.fail(f"{value!r} used both as {old} and {role}")
+        self.pos += 1
         return value
 
     # a -> b -> c is a -> (b -> c), and so for <->, built in a loop
     def formula(self) -> Formula:
         parts = [self.implication()]
-        while self.peek()[0] == "IFF":
-            self.take("IFF")
+        while self.toks[self.pos] == "<->":
+            self.pos += 1
             parts.append(self.implication())
         return reduce(lambda out, p: iff(p, out), reversed(parts))
 
     def implication(self) -> Formula:
         parts = [self.disjunction()]
-        while self.peek()[0] == "ARROW":
-            self.take("ARROW")
+        while self.toks[self.pos] == "->":
+            self.pos += 1
             parts.append(self.disjunction())
         return reduce(lambda out, p: imp(p, out), reversed(parts))
 
     def disjunction(self) -> Formula:
         out = self.conjunction()
-        while self.peek()[0] == "PIPE":
-            self.take("PIPE")
+        while self.toks[self.pos] == "|":
+            self.pos += 1
             out = f_or(out, self.conjunction())
         return out
 
     def conjunction(self) -> Formula:
         out = self.unary()
-        while self.peek()[0] == "AMP":
-            self.take("AMP")
+        while self.toks[self.pos] == "&":
+            self.pos += 1
             out = And(out, self.unary())
         return out
 
     def unary(self) -> Formula:
-        if self.depth > MAX_NESTING:
-            raise ParseError(f"formula nested deeper than {MAX_NESTING} levels",
-                             self.peek()[2], self.text)
-        self.depth += 1
+        depth = self.depth
+        if depth > MAX_NESTING:
+            self.fail(f"formula nested deeper than {MAX_NESTING} levels")
+        if depth > self.deepest:
+            self.deepest = depth
+        self.depth = depth + 1
         f = self.operand()
-        self.depth -= 1
+        self.depth = depth
         return f
 
     def operand(self) -> Formula:
-        kind, value, at = self.peek()
-        if kind == "TILDE":
-            self.take("TILDE")
-            return Neg(self.unary())
-        if kind == "TOP":
-            self.take("TOP")
-            return Top()
-        if kind == "BOT":
-            self.take("BOT")
-            return bot()
-        if kind == "LPAR":
-            self.take("LPAR")
-            f = self.formula()
-            self.take("RPAR")
-            return f
-        if kind in ("LBRK", "LANG"):
-            self.take(kind)
-            agent = self.name("agent")
-            self.take("RBRK" if kind == "LBRK" else "RANG")
-            return self.modal_tail(agent, diamond=kind == "LANG")
-        if kind == "KV":
-            return self.kv()
-        if kind == "IDENT":
+        tok = self.toks[self.pos]
+        if tok not in _KINDS:
             return Prop(self.name("prop"))
-        raise ParseError(f"unexpected {value!r}", at, self.text)
+        if tok == "(":
+            return self.group()
+        self.pos += 1
+        if tok == "~":
+            return Neg(self.unary())
+        if tok == "[" or tok == "<":
+            agent = self.name("agent")
+            self.expect("]" if tok == "[" else ">")
+            return self.modal_tail(agent, diamond=tok == "<")
+        if tok == "T":
+            return Top()
+        if tok == "F":
+            return bot()
+        if tok == "Kv":
+            return self.kv()
+        self.fail(f"unexpected {tok!r}", self.pos - 1)
+
+    def group(self) -> Formula:
+        """( formula ).  With a memo, a group whose tokens were parsed before
+        is that same Formula, unless here it would nest past MAX_NESTING."""
+        start, depth, key = self.pos, self.depth, None
+        if self.memo is not None:
+            with suppress(ValueError):   # no ")" closes it: a fresh parse fails
+                end = self.levels.index(self.levels[start] - 1, start)
+                key = " ".join(self.toks[start:end + 1])
+                hit = self.memo.get(key)
+                if hit is not None and depth + hit[1] <= MAX_NESTING:
+                    self.pos = end + 1
+                    self.deepest = max(self.deepest, depth + hit[1])
+                    return hit[0]
+        self.pos = start + 1
+        f = self.formula()
+        self.expect(")")
+        if key is not None:   # nesting below it, or more: deepest is per text
+            self.memo[key] = (f, self.deepest - depth)
+        return f
 
     def modal_tail(self, agent: str, diamond: bool) -> Formula:
-        if self.peek()[0] != "CARET":
+        if self.toks[self.pos] != "^":
             return (dia if diamond else Box)(agent, self.unary())
-        self.take("CARET")
+        self.pos += 1
         constant = self.name("constant")
-        if self.peek()[0] == "LPAR":
-            self.take("LPAR")
-            first = self.formula()
-            if self.peek()[0] == "COMMA":
-                self.take("COMMA")
-                second = self.formula()
-                self.take("RPAR")
-                return (dia_b if diamond else BBoxB)(agent, constant, first, second)
-            self.take("RPAR")
-            sub = first       # parenthesized unary argument
-        else:
-            sub = self.unary()
-        return (dia_u if diamond else BBoxU)(agent, constant, sub)
+        if self.toks[self.pos] != "(":
+            return (dia_u if diamond else BBoxU)(agent, constant, self.unary())
+        self.pos += 1
+        args = [self.formula()]       # a parenthesized unary argument, or two
+        if self.toks[self.pos] == ",":
+            self.pos += 1
+            args.append(self.formula())
+        self.expect(")")
+        return ((dia_b if diamond else BBoxB) if len(args) == 2
+                else (dia_u if diamond else BBoxU))(agent, constant, *args)
 
     def kv(self) -> Formula:
-        self.take("KV")
-        self.take("LBRK")
+        self.expect("[")
         agent = self.name("agent")
-        self.take("RBRK")
-        self.take("LPAR")
-        if self.peek()[0] == "IDENT" and self.peek(1)[0] == "RPAR":
-            constant = self.name("constant")  # Kv[a](c) sugar for Kv[a](T, c)
-            self.take("RPAR")
-            return KvCond(agent, Top(), constant)
-        sub = self.formula()
-        self.take("COMMA")
+        self.expect("]")
+        self.expect("(")
+        if self.toks[self.pos] in _KINDS or self.toks[self.pos + 1] != ")":
+            sub = self.formula()
+            self.expect(",")
+        else:
+            sub = Top()       # Kv[a](c) sugar for Kv[a](T, c)
         constant = self.name("constant")
-        self.take("RPAR")
+        self.expect(")")
         return KvCond(agent, sub, constant)
 
     def whole(self) -> Formula:
         f = self.formula()
-        self.take("EOF")
+        self.expect("")
         return f
 
 
 def parse(text: str, vocab: Vocabulary) -> Formula:
     """Parse text against a vocabulary.  Raises ParseError with a column."""
     return _Parser(text, vocab).whole()
+
+
+def memo_parser(vocab: Vocabulary) -> Callable[[str], Formula]:
+    """parse(text, vocab) for a run of texts, such as the formulas of one
+    proof script, sharing one memo: a parenthesized group whose tokens
+    were parsed before is not parsed again, and is the same Formula."""
+    memo: dict[str, tuple[Formula, int]] = {}
+    return lambda text: _Parser(text, vocab, memo).whole()
 
 
 def parse_infer(text: str) -> tuple[Formula, Vocabulary]:
@@ -577,7 +581,7 @@ def parse_infer(text: str) -> tuple[Formula, Vocabulary]:
     symbol so the resulting vocabulary is well formed.
     """
     p = _Parser(text, None)
-    return p.whole(), p.infer.build()
+    return p.whole(), _inferred_vocab(p.roles)
 
 
 # --- printing --------------------------------------------------------------

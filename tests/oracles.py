@@ -5,11 +5,12 @@ no sharing of code with the package's own validators or evaluators — so
 that the two code paths can disagree when either one is wrong.
 """
 
+import re
 from itertools import combinations, product
 
 from kvlog.models import TernaryModel
-from kvlog.syntax import (And, BBoxB, BBoxU, Box, Formula, KvCond, Neg, Prop,
-                          Top, Vocabulary)
+from kvlog.syntax import (And, BBoxB, BBoxU, Box, Formula, KvCond, Neg,
+                          ParseError, Prop, Top, Vocabulary)
 
 
 # --- frame conditions --------------------------------------------------------
@@ -246,3 +247,33 @@ def oracle_pair_tables(n):
                 good.append(tuple(sorted(chosen | {(u, t) for (t, u) in chosen})))
         tables.append(tuple(good))
     return tuple(tables)
+
+
+# --- tokens ------------------------------------------------------------------
+
+_SINGLE = {
+    "~": "TILDE", "&": "AMP", "|": "PIPE", "(": "LPAR", ")": "RPAR",
+    "[": "LBRK", "]": "RBRK", ">": "RANG", "^": "CARET", ",": "COMMA",
+}
+# Token kinds by group of _TOKEN_RE, tried in order; None for _SINGLE.
+_TOKEN_KINDS = ("IFF", "ARROW", "LANG", "TOP", "BOT", "KV", None, "IDENT")
+_TOKEN_RE = re.compile(r"(<->)|(->)|(<)|(T)|(F)|(Kv)|([~&|()\[\]>^,])|([a-z][a-z0-9_]*)")
+
+
+def oracle_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, column) per token, then ("EOF", "", len(text)): one
+    regex match at a time, skipping blanks by hand."""
+    toks = []
+    i, n = 0, len(text)
+    while i < n:
+        if text[i] in " \t\r\n":
+            i += 1
+            continue
+        m = _TOKEN_RE.match(text, i)
+        if not m:
+            raise ParseError(f"unexpected character {text[i]!r}", i, text)
+        toks.append((_TOKEN_KINDS[m.lastindex - 1] or _SINGLE[m.group()],
+                     m.group(), i))
+        i = m.end()
+    toks.append(("EOF", "", n))
+    return toks

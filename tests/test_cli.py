@@ -434,6 +434,32 @@ class TestProve:
         assert (rc, out) == (2, "")
         assert err == f"error: line {len(lines)}: unreadable argument {arg!r}\n"
 
+    @staticmethod
+    def shipped_prove_outputs(capsys, root):
+        """{argv: exit code, stdout, stderr} of prove, with and without
+        --json, on every shipped script under every system."""
+        outputs = {}
+        for path in sorted((root / "proofs").glob("**/*.kvp")):
+            for system in ("SMLKVr", "SMLKVb", "SMLKV"):
+                for mode in ([], ["--json"]):
+                    argv = ["prove", *mode, system, path.relative_to(root).as_posix()]
+                    rc, out, err = run(capsys, *argv[:-1], str(path))
+                    outputs[" ".join(argv)] = {"exit": rc, "stdout": out,
+                                               "stderr": err}
+        return outputs
+
+    def test_shipped_scripts_print_as_pinned(self, capsys, proofs_dir):
+        """tests/data/prove_expected.json holds json.dump(outputs, indent=1,
+        sort_keys=True) of shipped_prove_outputs, written before the parser
+        had its one-pass tokenizer and its memo of groups."""
+        root = proofs_dir.parent
+        expected = json.loads((root / "tests" / "data" / "prove_expected.json")
+                              .read_text(encoding="utf-8"))
+        outputs = self.shipped_prove_outputs(capsys, root)
+        assert sorted(outputs) == sorted(expected) and len(outputs) == 90
+        for argv, want in expected.items():
+            assert outputs[argv] == want, argv
+
 
 class TestDeepInputs:
     OPERANDS = 3000

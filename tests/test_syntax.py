@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kvlog
+from kvlog import proof, syntax
 from kvlog.models import GenParams, generate_direct
+from kvlog.proof import DEFAULT_SCRIPT_VOCAB, parse_script
 from kvlog.semantics import eval_ternary
 from kvlog.syntax import (And, BBoxB, BBoxU, Box, KvCond, LanguageError, Neg,
                           ParseError, Prop, Top, Vocabulary, big_and, big_or,
@@ -22,7 +24,7 @@ from kvlog.syntax import (And, BBoxB, BBoxU, Box, KvCond, LanguageError, Neg,
                           random_formula, reduce_r, replace_at, substitute,
                           subterm_at, subterms, translate_T, translate_T_inv)
 
-from oracles import oracle_equal, oracle_eval
+from oracles import oracle_equal, oracle_eval, oracle_tokenize
 
 VOC = Vocabulary(("a", "b"), ("p", "q"), ("c", "d"))
 VOC4 = Vocabulary(("a",), ("p", "q", "r", "s"), ("c",))
@@ -61,6 +63,117 @@ class TestParse:
 
     def test_precedence(self):
         assert parse("~p & q -> r", VOC4) == imp(And(Neg(P), Q), Prop("r"))
+
+    def test_a_bad_character_is_reported_before_a_syntax_error(self):
+        for text in (")$", ") \f"):
+            with pytest.raises(ParseError) as err:
+                parse(text, VOC)
+            assert str(err.value) == f"unexpected character {text[-1]!r} (at column {len(text)})"
+
+    def test_a_symbol_used_in_two_roles_is_reported_at_its_second_use(self):
+        with pytest.raises(ParseError) as err:
+            parse_infer("(p & [p]q)")
+        assert str(err.value) == "'p' used both as prop and agent (at column 7)"
+
+
+def shipped_scripts():
+    return sorted((pathlib.Path(__file__).resolve().parents[1] / "proofs")
+                  .glob("**/*.kvp"))
+
+
+def step_texts():
+    """The text after "N. " of every step line of the shipped scripts."""
+    return [line.split(". ", 1)[1] for path in shipped_scripts()
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if line[:1].isdigit()]
+
+
+class TestTokenizer:
+    """The parser's tokens against the per-match tokenizer it replaced."""
+
+    CHARS = "pqacd~&|()[]<>-^,TFKv_0 \t\r\n$\f\vé"
+
+    @classmethod
+    def corpus(cls):
+        rng = random.Random(26)
+        texts = [print_formula(random_formula(rng, VOC, rng.randrange(5), lang))
+                 for lang in ("ELKvR", "MLKvR", "MLKvB", "MLKv") for _ in range(50)]
+        steps = step_texts()
+        texts += steps + [step.rsplit(" BY ", 1)[0] for step in steps]
+        for text in list(texts):
+            for _ in range(3):
+                chars, at = list(text), rng.randrange(len(text) + 1)
+                chars[at:at + rng.randrange(2)] = rng.choice(cls.CHARS) * rng.randrange(3)
+                texts.append("".join(chars))
+        return texts
+
+    @staticmethod
+    def column(parser, k):
+        with pytest.raises(ParseError) as err:
+            parser.fail("at", k)
+        return err.value.pos
+
+    def test_tokens_kinds_and_columns_match_the_oracle(self):
+        texts, failed = self.corpus(), 0
+        for text in texts:
+            try:
+                want = oracle_tokenize(text)
+            except ParseError as exc:
+                with pytest.raises(ParseError) as err:
+                    syntax._Parser(text, VOC)
+                assert (str(err.value), err.value.pos) == (str(exc), exc.pos), text
+                failed += 1
+                continue
+            parser = syntax._Parser(text, VOC)
+            assert [(syntax._KINDS.get(t, "IDENT"), t) for t in parser.toks] == \
+                [(kind, tok) for kind, tok, _ in want], text
+            assert [self.column(parser, k) for k in range(len(want))] == \
+                [at for _, _, at in want], text
+        assert 500 < failed < len(texts) - 500
+
+
+class TestScriptMemo:
+    """parse_script parses each repeated group of a script once."""
+
+    def test_scripts_parse_as_with_a_fresh_parse_per_text(self, monkeypatch):
+        memo = [parse_script(path.read_text(encoding="utf-8"))
+                for path in shipped_scripts()]
+        monkeypatch.setattr(proof, "memo_parser",
+                            lambda vocab: lambda text: parse(text, vocab))
+        fresh = [parse_script(path.read_text(encoding="utf-8"))
+                 for path in shipped_scripts()]
+        assert memo == fresh
+        nodes = [subterms(step.formula) for d in memo for step in d.steps]
+        assert len({id(g) for sub in nodes for g in sub}) < sum(map(len, nodes))
+
+    @staticmethod
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except (ParseError, proof.ScriptError) as exc:
+            return str(exc)
+
+    def test_a_memo_hit_nested_too_deep_fails_as_a_fresh_parse(self):
+        group = "((p -> [a]q) & <b>^c(p, ~~q))"
+        outer = f"(q -> {group})"     # its depth comes from a memo hit
+        outcomes = set()
+        for depth in range(90, 106):
+            deep = "~" * depth + outer
+            lines = [f"({group} -> {group})", f"({outer} -> {outer})",
+                     f"({deep} -> {deep})"]
+            script = "".join(f"{k}. {line} BY TAUT\n"
+                             for k, line in enumerate(lines, start=1))
+            fresh = self.outcome(parse, lines[-1], DEFAULT_SCRIPT_VOCAB)
+            got = self.outcome(parse_script, script)
+            if isinstance(fresh, str):
+                assert got == f"line 3: bad formula: {fresh}"
+            else:         # step 3 took its groups from steps 1 and 2
+                assert got.steps[2].formula == fresh
+                second, third = ({id(g) for g in subterms(step.formula)}
+                                 for step in got.steps[1:])
+                assert second & third
+            outcomes.add(isinstance(fresh, str))
+        assert outcomes == {False, True}
 
 
 class TestPrint:
