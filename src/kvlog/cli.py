@@ -177,11 +177,14 @@ def cmd_bisim(args) -> int:
     return 1
 
 
+def _system(name: str):
+    if name not in SYSTEMS:
+        raise ValueError(f"unknown system {name!r}; pick one of {', '.join(SYSTEMS)}")
+    return SYSTEMS[name]
+
+
 def cmd_prove(args) -> int:
-    system = SYSTEMS.get(args.system)
-    if system is None:
-        raise ValueError(f"unknown system {args.system!r}; "
-                         f"pick one of {', '.join(SYSTEMS)}")
+    system = _system(args.system)
     with open(args.script, encoding="utf-8") as fh:
         d = parse_script(fh.read())
     result = check_derivation(system, d)
@@ -202,10 +205,7 @@ def _fuzz_chunk(payload):
 
 
 def cmd_fuzz(args) -> int:
-    system = SYSTEMS.get(args.system)
-    if system is None:
-        raise ValueError(f"unknown system {args.system!r}; "
-                         f"pick one of {', '.join(SYSTEMS)}")
+    system = _system(args.system)
     if args.workers > 1 and args.trials > 1:
         share = -(-args.trials // args.workers)
         chunks = [(args.system, min(share, args.trials - lo), args.seed, lo)
@@ -235,12 +235,14 @@ def cmd_fuzz(args) -> int:
 
 
 MAX_GEN_STATES = 30   # above it, gen's time and memory grow steeply
+MAX_GEN_VALUES = 1000   # gen builds every value name before anything else
 
 
 def cmd_gen(args) -> int:
-    if args.states > MAX_GEN_STATES:
-        raise ValueError(f"--states {args.states} is above the cap of "
-                         f"{MAX_GEN_STATES}")
+    for name, value, cap in (("states", args.states, MAX_GEN_STATES),
+                             ("values", args.values, MAX_GEN_VALUES)):
+        if value > cap:
+            raise ValueError(f"--{name} {value} is above the cap of {cap}")
     vocab = Vocabulary(agents=tuple(args.agents), props=tuple(args.props),
                        constants=tuple(args.constants))
     params = GenParams(vocab=vocab, num_states=args.states,

@@ -21,8 +21,8 @@ justification-local.  Each rule is one row of RULES: the steps it cites,
 the Step fields it needs and may take, its usage text and its own check.
 _check_step runs the checks all rules share, then the row's; the NEC rows
 also build the conclusions the fuzzer tests.  TAUT certifies propositional
-tautologies over the modal-subformula skeleton by truth table (at most 12
-distinct atoms).
+tautologies over the modal-subformula skeleton on semantics' compiled
+evaluator, one state per assignment (at most 12 distinct atoms).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 
 from .models import GenParams, TernaryModel, generate_direct, \
     generate_value_induced
-from .semantics import IndexedModel
+from .semantics import _PROP, IndexedModel, _compile, _run
 from .syntax import (And, BBoxB, BBoxU, Box, Formula, Neg, Path, Prop, Top,
                      Vocabulary, children, f_or, fold, iff, imp, memo_parser,
                      occurrences, parse, print_formula, random_formula, rebuild,
@@ -120,56 +120,39 @@ def axiom_instance(system: ProofSystem, schema: str,
 
 # --- tautology checking -----------------------------------------------------
 
-def propositional_skeleton(f: Formula) -> tuple[list[Formula], list]:
-    """Atoms of f (props and modal subformulas under its boolean
-    connectives), equal ones merged, in order of first occurrence; and the
-    distinct nodes of its boolean skeleton, children first, each paired
-    with its atom index (None for Top, Neg, And)."""
-    index: dict[Formula, int] = {}    # atom -> its index
-    atom: dict[int, Optional[int]] = {}   # skeleton node id -> its atom index
+def is_tautology(f: Formula) -> tuple[bool, str]:
+    """TAUT's decision, by semantics._run with one state per assignment."""
+    atoms: dict[Formula, int] = {}    # atom -> its number
+    index: dict[int, int] = {}        # node id -> its instruction, as _compile keeps it
+    prog: list[tuple[int, int, int, int]] = []
+    seen: set[int] = set()
     stack = [f]
     while stack:                      # preorder over the skeleton
         g = stack.pop()
-        if id(g) in atom:
+        if id(g) in seen:
             continue
+        seen.add(id(g))
         if isinstance(g, (Top, Neg, And)):
-            atom[id(g)] = None
             stack.extend(reversed(children(g)))
-        else:
-            atom[id(g)] = index.setdefault(g, len(index))
-    return list(index), [(g, atom[id(g)]) for g in subterms(f) if id(g) in atom]
-
-
-def _truth_table(n: int) -> tuple[int, list[int]]:
-    """full, all 2^n rows set, and each atom j's column: bit k is bit j of k.
-    full // (2^2^(j+1) - 1) marks each run of 2^(j+1) rows; times its top half."""
-    full = (1 << (1 << n)) - 1
-    return full, [full // ((1 << (2 << j)) - 1) * (((1 << (1 << j)) - 1) << (1 << j))
-                  for j in range(n)]
-
-
-def is_tautology(f: Formula) -> tuple[bool, str]:
-    atoms, skeleton = propositional_skeleton(f)
-    if len(atoms) > TAUT_ATOM_LIMIT:
-        return False, (f"skeleton has {len(atoms)} atoms, "
+        else:                         # an atom: a prop or a modal subformula
+            index[id(g)] = len(prog)
+            prog.append((_PROP, atoms.setdefault(g, len(atoms)), 0, 0))
+    n = len(atoms)
+    if n > TAUT_ATOM_LIMIT:
+        return False, (f"skeleton has {n} atoms, "
                        f"limit is {TAUT_ATOM_LIMIT}; decompose the step")
-    # truth sets over all assignments at once: bit k of a mask is the value
-    # under assignment k, which makes atom j true when its bit j is set
-    full, column = _truth_table(len(atoms))
-    truth: dict[int, int] = {}
-    for g, atom in skeleton:
-        if atom is not None:
-            truth[id(g)] = column[atom]
-        elif isinstance(g, Top):
-            truth[id(g)] = full
-        elif isinstance(g, Neg):
-            truth[id(g)] = full ^ truth[id(g.sub)]
-        else:
-            truth[id(g)] = truth[id(g.left)] & truth[id(g.right)]
-    mask = truth[id(f)]
+    prog += _compile(f, ({}, {}, {}), index)    # the skeleton names no symbol
+    # bit k of a mask is the value under assignment k, where atom j is bit j of
+    # k: full // (2^2^(j+1) - 1) marks each run of 2^(j+1) rows; times its top half
+    full = (1 << (1 << n)) - 1
+    columns = [full // ((1 << (2 << j)) - 1) * (((1 << (1 << j)) - 1) << (1 << j))
+               for j in range(n)]
+    vals = [0] * len(prog)
+    _run(prog, range(len(prog)), vals, 1 << n, columns, None, None)
+    mask = vals[index[id(f)]]         # _compile adds nothing when f is an atom
     if mask != full:
         bits = ((mask + 1) & ~mask).bit_length() - 1
-        return False, f"fails under assignment {bits:0{len(atoms)}b}"
+        return False, f"fails under assignment {bits:0{n}b}"
     return True, ""
 
 

@@ -25,7 +25,8 @@ grows by the subterms of each new formula, so the formulas a caller
 evaluates on one model share the layout and every subterm they share by
 identity (soundness_fuzz keeps one per trial).  eval_ternary and
 counterexample_state are one-formula uses of it: the first tests one bit
-of the root's mask, the second takes its lowest zero bit.
+of the root's mask, the second takes its lowest zero bit.  TAUT
+(proof.is_tautology) runs _run on one state per assignment of its atoms.
 
 find_countermodel enumerates pointed ternary models in a fixed order
 (state count, valuations, edges, triple sets; every frame condition holds
@@ -314,6 +315,8 @@ def _scan_sizes(f: Formula, vocab: Vocabulary):
     """The agents, props and constants f uses, in vocabulary order."""
     used = set()
     for node in subterms(f):
+        if isinstance(node, KvCond):
+            raise LanguageError(f"conditional Kv formula not searchable: {f}")
         used.update(getattr(node, key, None) for key in ("agent", "name", "constant"))
     return tuple(tuple(x for x in names if x in used)
                  for names in (vocab.agents, vocab.props, vocab.constants))
@@ -395,9 +398,6 @@ def find_countermodel(f: Formula, max_states: int, vocab: Vocabulary,
     Raises BudgetExceededError past the enumeration budget.  The result
     does not depend on the worker count.
     """
-    for node in subterms(f):
-        if isinstance(node, KvCond):
-            raise LanguageError(f"conditional Kv formula not searchable: {f}")
     used = _scan_sizes(f, vocab)
     prog = _compile(f, _symbols(*used), {})
     spent = 0

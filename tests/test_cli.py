@@ -16,7 +16,7 @@ import time
 import pytest
 
 from kvlog import semantics
-from kvlog.cli import MAX_GEN_STATES, MAX_WORKERS, build_parser, main
+from kvlog.cli import MAX_GEN_STATES, MAX_GEN_VALUES, MAX_WORKERS, build_parser, main
 from kvlog.models import derive_ternary, load_model, model_to_json
 from kvlog.proof import SMLKVR, soundness_fuzz
 from kvlog.transform import to_fo
@@ -666,6 +666,25 @@ class TestGen:
                          "--states", str(MAX_GEN_STATES))
         assert rc == 0
         assert len(json.loads(out)["model"]["states"]) == MAX_GEN_STATES
+
+    @pytest.mark.parametrize("kind", ["value", "direct"])
+    def test_value_count_above_the_cap_is_a_usage_error(self, capsys, kind):
+        assert MAX_GEN_VALUES == 1000
+        rc, out, err = run(capsys, "gen", "--kind", kind, "--values", "1001")
+        assert (rc, out, err) == (2, "", "error: --values 1001 is above the cap of 1000\n")
+        start = time.perf_counter()     # uncapped, this would need about 120 GB
+        rc, out, err = run(capsys, "gen", "--kind", kind, "--values", "1000000000")
+        assert time.perf_counter() - start < 1.0
+        assert (rc, out) == (2, "")
+        assert err == "error: --values 1000000000 is above the cap of 1000\n"
+        rc, _, err = run(capsys, "gen", "--kind", kind, "--values", "1001",
+                         "--states", str(MAX_GEN_STATES + 1))
+        assert rc == 2 and err.startswith(f"error: --states {MAX_GEN_STATES + 1} ")
+        rc, out, _ = run(capsys, "gen", "--kind", kind, "--json", "--emit-fo",
+                         "--values", str(MAX_GEN_VALUES))
+        assert rc == 0
+        if kind == "value":
+            assert len(json.loads(out)["model"]["domain"]) == MAX_GEN_VALUES
 
 
 class TestParserReuse:

@@ -5,7 +5,8 @@ interpreters, one with PYTHONHASHSEED=0 and one with PYTHONHASHSEED=1,
 since the seed is fixed when an interpreter starts.  Within each
 interpreter the runs with ``--workers 1`` and ``--workers 2`` are compared;
 then the two interpreters are.  Every comparison is of the exact stdout,
-with the exit code.
+with the exit code.  The fuzz outcomes that tests/test_proof.py pins are
+recomputed in two such interpreters too, and compared with the pins.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import subprocess
 import sys
 
 from conftest import ROOT
+from test_proof import PINNED_FUZZ
 
 from kvlog.cli import main
 
@@ -37,15 +39,32 @@ json.dump(results, sys.stdout)
 """
 
 
-def run_with_hashseed(hashseed: int, argvs: list[list[str]]) -> list[tuple]:
-    """(exit code, stdout) of each argv, all run in one interpreter."""
+# Prints a JSON list of test_proof.fuzz_outcome(*key), one per key of
+# test_proof.PINNED_FUZZ in sorted order; argv[1] is the tests directory.
+_FUZZ_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from test_proof import PINNED_FUZZ, fuzz_outcome
+json.dump([fuzz_outcome(*key) for key in sorted(PINNED_FUZZ)], sys.stdout)
+"""
+
+
+def run_in_child(hashseed: int, code: str, arg: str):
+    """The JSON that code prints when run with arg as sys.argv[1] in a fresh
+    interpreter with PYTHONHASHSEED=hashseed."""
     env = dict(os.environ, PYTHONHASHSEED=str(hashseed),
                PYTHONPATH=os.pathsep.join(
                    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argvs)],
+    done = subprocess.run([sys.executable, "-c", code, arg],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           check=True)
-    return [tuple(result) for result in json.loads(done.stdout)]
+    return json.loads(done.stdout)
+
+
+def run_with_hashseed(hashseed: int, argvs: list[list[str]]) -> list[tuple]:
+    """(exit code, stdout) of each argv, all run in one interpreter."""
+    return [tuple(result)
+            for result in run_in_child(hashseed, _CHILD, json.dumps(argvs))]
 
 
 def by_hashseed_and_workers(argvs: list[list[str]]) -> dict:
@@ -68,6 +87,18 @@ def test_fuzz_reports_do_not_depend_on_the_hash_seed_or_the_worker_count():
     assert all(rc == 0 for results in runs.values() for rc, _ in results)
     for key in ((0, 2), (1, 1), (1, 2)):
         assert runs[key] == runs[0, 1], key
+
+
+def test_pinned_fuzz_outcomes_do_not_depend_on_the_hash_seed():
+    # the check counts and falsification lists test_proof pins, recomputed
+    # under each hash seed; a falsification list shows the order in which
+    # formulas were drawn, which a check count alone does not
+    keys = sorted(PINNED_FUZZ)
+    for hashseed in (0, 1):
+        got = run_in_child(hashseed, _FUZZ_CHILD, str(ROOT / "tests"))
+        mismatched = [key for key, (checks, found) in zip(keys, got)
+                      if (checks, [tuple(f) for f in found]) != PINNED_FUZZ[key]]
+        assert len(got) == len(keys) and not mismatched, (hashseed, mismatched)
 
 
 def test_refute_output_does_not_depend_on_the_hash_seed_or_the_worker_count():

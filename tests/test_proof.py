@@ -27,7 +27,6 @@ from kvlog.proof import (
     Derivation,
     ScriptError,
     _slotted,
-    _truth_table,
     axiom_instance,
     check_derivation,
     is_tautology,
@@ -38,6 +37,7 @@ from kvlog.proof import (
 )
 from kvlog.semantics import eval_ternary, find_countermodel
 from kvlog.syntax import (
+    And,
     BBoxB,
     BBoxU,
     Box,
@@ -57,7 +57,7 @@ from kvlog.syntax import (
     random_formula,
 )
 
-from oracles import oracle_is_tautology
+from oracles import _taut_atoms, _taut_eval, oracle_is_tautology
 
 SYSTEM_HEADER = re.compile(r"# system: (\w+)")
 REJECT_HEADER = re.compile(r"# expect-reject-at: (\d+)")
@@ -473,18 +473,59 @@ class TestTautologyDecision:
         assert not ok
         assert reason == "skeleton has 13 atoms, limit is 12; decompose the step"
 
-    def test_truth_table_columns_match_the_row_sums(self):
-        for n in range(TAUT_ATOM_LIMIT + 1):
-            rows = 1 << n
-            assert _truth_table(n) == ((1 << rows) - 1, [
-                sum(1 << k for k in range(rows) if k >> j & 1) for j in range(n)])
+    @staticmethod
+    def skeleton(rng, n):
+        """A random boolean skeleton over exactly n atoms (over Top alone
+        when n is 0): props and boxes over x0..x(n-1), each leaf a fresh
+        copy, so equal atoms are not identical, and iff shares its sides."""
+        def atom(j):
+            x = Prop(f"x{j}")
+            return (x, Box("a", x), BBoxU("a", "c", x))[j % 3]
+
+        leaves = [atom(j) for j in range(n)] + [
+            atom(rng.randrange(n)) if n and rng.randrange(4) else Top()
+            for _ in range(rng.randrange(1, 4))]
+        rng.shuffle(leaves)
+        while len(leaves) > 1:
+            k = rng.randrange(len(leaves) - 1)
+            node = rng.choice((And, f_or, imp, iff))(leaves[k], leaves[k + 1])
+            leaves[k:k + 2] = [Neg(node) if rng.randrange(3) == 0 else node]
+        return leaves[0]
 
     def test_agrees_with_the_truth_table_oracle(self):
+        # random formulas, then skeletons with every atom count up to the
+        # limit, each also as a tautology; a failure's assignment, bit j
+        # for atom j in preorder of first occurrence, must falsify f
         rng = random.Random(20260814)
-        for _ in range(200):
-            f = random_formula(rng, VOC, depth=3, lang="MLKvB")
-            ok, _ = is_tautology(f)
+        formulas = [random_formula(rng, VOC, depth=3, lang="MLKvB")
+                    for _ in range(200)]
+        for n in range(TAUT_ATOM_LIMIT + 1):
+            for _ in range(8):
+                g = self.skeleton(rng, n)
+                formulas += [g, f_or(g, Neg(g))]
+        counts = set()
+        for f in formulas:
+            atoms = []
+            _taut_atoms(f, atoms)
+            counts.add(len(atoms))
+            ok, why = is_tautology(f)
             assert ok == oracle_is_tautology(f), print_formula(f)
+            if not ok:
+                bits = why.removeprefix("fails under assignment ")
+                assert len(bits) == max(len(atoms), 1), why
+                env = {a: bool(int(bits, 2) >> j & 1) for j, a in enumerate(atoms)}
+                assert not _taut_eval(f, env), (print_formula(f), why)
+        assert counts == set(range(TAUT_ATOM_LIMIT + 1))
+        # every row of every column: the negated minterm of assignment k
+        # fails under k, and under no assignment before it
+        for n in range(TAUT_ATOM_LIMIT + 1):
+            for k in range(1 << n):
+                minterm = Top()
+                for j in range(n):
+                    x = Prop(f"x{j}")
+                    minterm = And(minterm, x if k >> j & 1 else Neg(x))
+                assert is_tautology(Neg(minterm)) == (
+                    False, f"fails under assignment {k:0{n}b}")
 
     def test_split_iff_recognises_only_biconditionals(self):
         assert split_iff(iff(P, Q)) == (P, Q)
@@ -547,6 +588,15 @@ PINNED_FUZZ = {
     ]),
 }
 NON_NORMALITY = "(<i>^c (p | q) -> (<i>^c p | <i>^c q))"
+
+
+def fuzz_outcome(name, seed, nonnorm):
+    """What PINNED_FUZZ records for the key (name, seed, nonnorm)."""
+    meta = Vocabulary(("i",), ("p", "q"), ("c",))
+    extra = {"NONNORM": parse(NON_NORMALITY, meta)} if nonnorm else None
+    report = soundness_fuzz(SYSTEMS[name], 40, seed, extra_schemas=extra)
+    return report.checks, [(f.trial, f.kind, f.formula, f.state)
+                           for f in report.falsifications]
 
 
 class TestSoundnessFuzz:
@@ -616,9 +666,4 @@ class TestSoundnessFuzz:
 
     @pytest.mark.parametrize("key", sorted(PINNED_FUZZ), ids=str)
     def test_reports_match_the_recorded_ones(self, key):
-        name, seed, nonnorm = key
-        meta = Vocabulary(("i",), ("p", "q"), ("c",))
-        extra = {"NONNORM": parse(NON_NORMALITY, meta)} if nonnorm else None
-        report = soundness_fuzz(SYSTEMS[name], 40, seed, extra_schemas=extra)
-        got = [(f.trial, f.kind, f.formula, f.state) for f in report.falsifications]
-        assert (report.checks, got) == PINNED_FUZZ[key]
+        assert fuzz_outcome(*key) == PINNED_FUZZ[key]
